@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -31,8 +32,9 @@ const (
 )
 
 // ScalePerf is the million-sentence snapshot written to BENCH_perf.json's
-// "scale" section: coverage memory for dense vs adaptive kernels over the
-// same index, and the interactive step price of the compression.
+// "scale" section: total index memory, coverage memory for dense vs adaptive
+// kernels over the same index, and the interactive step price of the
+// compression.
 type ScalePerf struct {
 	// The memory measurement: professions at 1M sentences (1.1% positive),
 	// one index measured under both kernels.
@@ -40,6 +42,12 @@ type ScalePerf struct {
 	Sentences        int     `json:"sentences"`
 	IndexBuildMillis float64 `json:"index_build_ms"`
 	IndexNodes       int     `json:"index_nodes"`
+	// IndexHeapBytes is the whole index's live heap: after a GC with the
+	// built and pruned index held, minus the heap before the build (the
+	// corpus is held at both points). Unlike the coverage bytes below it
+	// counts every node's key, edges and bookkeeping too.
+	IndexHeapBytes            int64   `json:"index_heap_bytes"`
+	IndexHeapBytesPerSentence float64 `json:"index_heap_bytes_per_sentence"`
 
 	AdaptiveCoverageBytes    int     `json:"adaptive_coverage_bytes"`
 	DenseCoverageBytes       int     `json:"dense_coverage_bytes"`
@@ -70,9 +78,9 @@ func runScale(perfPath string) error {
 
 	// Memory: professions reaches the paper's 1M sentences at scale 10. The
 	// index is built once (adaptive, the default) and the kernel is flipped
-	// in place for the dense measurement — SetKernel rewrites only the
-	// representation, never the postings, so both numbers describe the
-	// identical coverage sets.
+	// in place for the dense measurement — SetKernel only publishes dense
+	// mirrors of the same stored sets, so both numbers describe the
+	// identical coverage.
 	const (
 		memDataset = "professions"
 		memScale   = 10.0
@@ -84,10 +92,12 @@ func runScale(perfPath string) error {
 	}
 	c.Preprocess(corpus.PreprocessOptions{})
 	cfg := perfConfig()
+	heapBefore := liveHeap()
 	buildStart := time.Now()
 	ix := index.Build(c, sketch.NewBuilder(grammar.NewRegistry(tokensregex.New()), cfg.SketchDepth))
 	ix.Prune(cfg.MinRuleCoverage)
 	build := time.Since(buildStart)
+	indexHeap := int64(liveHeap()) - int64(heapBefore)
 
 	adaptiveBytes := ix.CoverageBytes()
 	arrays, bitmaps, denseContainers := ix.ContainerStats()
@@ -132,29 +142,32 @@ func runScale(perfPath string) error {
 	stepBudget := denseMean*(1+scaleStepRelBudget) + scaleStepAbsFloorMillis
 
 	perf := &ScalePerf{
-		Dataset:                  memDataset,
-		Sentences:                c.Len(),
-		IndexBuildMillis:         float64(build) / float64(time.Millisecond),
-		IndexNodes:               ix.Len(),
-		AdaptiveCoverageBytes:    adaptiveBytes,
-		DenseCoverageBytes:       denseBytes,
-		AdaptiveBytesPerSentence: float64(adaptiveBytes) / float64(c.Len()),
-		DenseBytesPerSentence:    float64(denseBytes) / float64(c.Len()),
-		MemoryReduction:          reduction,
-		MinMemoryReduction:       scaleMinMemoryReduction,
-		ArrayContainers:          arrays,
-		BitmapContainers:         bitmaps,
-		DenseContainers:          denseContainers,
-		StepDataset:              stepDataset,
-		StepSentences:            stepSentences,
-		AdaptiveStepMeanMillis:   adaptiveMean,
-		DenseStepMeanMillis:      denseMean,
-		StepBudgetMillis:         stepBudget,
+		Dataset:                   memDataset,
+		Sentences:                 c.Len(),
+		IndexBuildMillis:          float64(build) / float64(time.Millisecond),
+		IndexNodes:                ix.Len(),
+		IndexHeapBytes:            indexHeap,
+		IndexHeapBytesPerSentence: float64(indexHeap) / float64(c.Len()),
+		AdaptiveCoverageBytes:     adaptiveBytes,
+		DenseCoverageBytes:        denseBytes,
+		AdaptiveBytesPerSentence:  float64(adaptiveBytes) / float64(c.Len()),
+		DenseBytesPerSentence:     float64(denseBytes) / float64(c.Len()),
+		MemoryReduction:           reduction,
+		MinMemoryReduction:        scaleMinMemoryReduction,
+		ArrayContainers:           arrays,
+		BitmapContainers:          bitmaps,
+		DenseContainers:           denseContainers,
+		StepDataset:               stepDataset,
+		StepSentences:             stepSentences,
+		AdaptiveStepMeanMillis:    adaptiveMean,
+		DenseStepMeanMillis:       denseMean,
+		StepBudgetMillis:          stepBudget,
 	}
 	if err := mergeScalePerf(perfPath, perf); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d nodes=%d index_build=%.0fms\n", perf.Sentences, perf.IndexNodes, perf.IndexBuildMillis)
+	fmt.Printf("index heap: %d bytes (%.1f B/sentence)\n", indexHeap, perf.IndexHeapBytesPerSentence)
 	fmt.Printf("coverage bytes: dense=%d (%.1f B/sentence)  adaptive=%d (%.1f B/sentence)  reduction=%.1f%% (floor %.0f%%)\n",
 		denseBytes, perf.DenseBytesPerSentence, adaptiveBytes, perf.AdaptiveBytesPerSentence,
 		reduction*100, scaleMinMemoryReduction*100)
@@ -171,6 +184,14 @@ func runScale(perfPath string) error {
 			adaptiveMean, stepBudget, denseMean, scaleStepRelBudget*100, scaleStepAbsFloorMillis)
 	}
 	return nil
+}
+
+// liveHeap returns the live heap bytes after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // mergeScalePerf folds the scale numbers into BENCH_perf.json without

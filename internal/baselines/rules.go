@@ -37,20 +37,14 @@ func (h *HighP) Next(st *traversal.State) (string, bool) {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		n := st.Hierarchy.Node(key)
-		if n == nil {
+		if st.Hierarchy.Node(key) == nil {
 			continue
 		}
-		newCov := 0
-		for _, id := range n.Coverage {
-			if !st.Positives[id] {
-				newCov++
-			}
-		}
+		benefit, newCov := st.BenefitNewOf(key)
 		if newCov < minNew {
 			continue
 		}
-		avg := traversal.AvgBenefit(n.Coverage, st.Positives, st.Scores)
+		avg := benefit / float64(newCov)
 		// Ties are broken toward SMALLER coverage: HighP optimizes expected
 		// precision irrespective of coverage, which is exactly why the paper
 		// finds it picks rules that label very few new sentences.
@@ -87,16 +81,10 @@ func (h *HighC) Next(st *traversal.State) (string, bool) {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		n := st.Hierarchy.Node(key)
-		if n == nil {
+		if st.Hierarchy.Node(key) == nil {
 			continue
 		}
-		newCov := 0
-		for _, id := range n.Coverage {
-			if !st.Positives[id] {
-				newCov++
-			}
-		}
+		_, newCov := st.BenefitNewOf(key)
 		if newCov > bestNew || (newCov == bestNew && newCov > 0 && (best == "" || key < best)) {
 			best, bestNew = key, newCov
 		}

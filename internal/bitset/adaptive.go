@@ -35,7 +35,7 @@ const (
 // the compressed *Adaptive: everything the scoring, hierarchy and traversal
 // paths need from a published coverage set. The p operand of the fused
 // kernels is always a dense Set — the positive set is small, mutable and
-// corpus-sized, so it stays dense; only the per-node coverage mirrors (of
+// corpus-sized, so it stays dense; only the per-node coverage sets (of
 // which there are tens of thousands) are worth compressing.
 type Cover interface {
 	// Count returns the number of ids in the set.
@@ -61,6 +61,16 @@ type Cover interface {
 	// Bytes reports the payload bytes of the representation (container data
 	// plus per-container headers; excludes the Go object headers).
 	Bytes() int
+}
+
+// IDs returns the ids of c in ascending order as a new slice, or nil when c
+// is empty: the materialization for the few call sites that need ids rather
+// than kernels (oracle samples, accepted positives, rule records).
+func IDs(c Cover) []int {
+	if c == nil || c.Count() == 0 {
+		return nil
+	}
+	return c.AppendTo(make([]int, 0, c.Count()))
 }
 
 // Compile-time checks: both representations satisfy the kernel contract.
@@ -138,7 +148,7 @@ type Adaptive struct {
 func NewAdaptive() *Adaptive { return &Adaptive{} }
 
 // AdaptiveFromSorted builds an adaptive set from sorted, deduplicated,
-// non-negative ids (the shape of an index posting list). Each chunk's
+// non-negative ids (the shape of a corpus scan's matches). Each chunk's
 // representation is chosen directly from its cardinality — no intermediate
 // promotion work.
 func AdaptiveFromSorted(ids []int) *Adaptive {
@@ -183,13 +193,23 @@ func (a *Adaptive) find(key uint32) int {
 }
 
 // Add inserts id (no-op when present). Unlike Set.Add it grows on demand —
-// ingestion extends coverage past the boot-time corpus size.
+// ingestion extends coverage past the boot-time corpus size. Ids arriving in
+// ascending order (index construction and ingest) take an O(1) append path.
 func (a *Adaptive) Add(id int) {
 	if id < 0 {
 		return
 	}
 	key, lo := uint32(id>>chunkBits), uint16(id&(chunkSize-1))
-	i := sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= key })
+	last := len(a.keys) - 1
+	var i int
+	switch {
+	case last < 0 || a.keys[last] < key:
+		i = last + 1
+	case a.keys[last] == key:
+		i = last
+	default:
+		i = sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= key })
+	}
 	if i == len(a.keys) || a.keys[i] != key {
 		a.keys = append(a.keys, 0)
 		copy(a.keys[i+1:], a.keys[i:])
@@ -210,9 +230,12 @@ func (a *Adaptive) Add(id int) {
 		}
 		return
 	}
-	j := sort.Search(len(c.array), func(j int) bool { return c.array[j] >= lo })
-	if j < len(c.array) && c.array[j] == lo {
-		return
+	j := len(c.array)
+	if j > 0 && c.array[j-1] >= lo {
+		j = sort.Search(len(c.array), func(j int) bool { return c.array[j] >= lo })
+		if c.array[j] == lo {
+			return
+		}
 	}
 	c.array = append(c.array, 0)
 	copy(c.array[j+1:], c.array[j:])
@@ -322,15 +345,91 @@ func (a *Adaptive) Clone() *Adaptive {
 		n:    a.n,
 	}
 	for i, c := range a.cs {
-		cc := &container{n: c.n}
-		if c.bitmap != nil {
-			cc.bitmap = append([]uint64(nil), c.bitmap...)
-		} else {
-			cc.array = append([]uint16(nil), c.array...)
-		}
-		out.cs[i] = cc
+		out.cs[i] = c.clone()
 	}
 	return out
+}
+
+func (c *container) clone() *container {
+	if c.bitmap != nil {
+		return &container{bitmap: append([]uint64(nil), c.bitmap...), n: c.n}
+	}
+	return &container{array: append([]uint16(nil), c.array...)}
+}
+
+// Union returns a ∪ b as a new set; neither operand is modified. Chunks held
+// by one operand are copied, chunks held by both are merged: two arrays
+// stay an array up to ArrayMax ids, anything involving a bitmap is or-ed
+// word-wise.
+func (a *Adaptive) Union(b *Adaptive) *Adaptive {
+	out := &Adaptive{}
+	i, j := 0, 0
+	for i < len(a.keys) || j < len(b.keys) {
+		var key uint32
+		var c *container
+		switch {
+		case j == len(b.keys) || i < len(a.keys) && a.keys[i] < b.keys[j]:
+			key, c = a.keys[i], a.cs[i].clone()
+			i++
+		case i == len(a.keys) || b.keys[j] < a.keys[i]:
+			key, c = b.keys[j], b.cs[j].clone()
+			j++
+		default:
+			key, c = a.keys[i], unionContainers(a.cs[i], b.cs[j])
+			i++
+			j++
+		}
+		out.keys = append(out.keys, key)
+		out.cs = append(out.cs, c)
+		out.n += c.count()
+	}
+	return out
+}
+
+// unionContainers merges two containers of the same chunk into a new one.
+func unionContainers(x, y *container) *container {
+	if x.bitmap == nil && y.bitmap == nil {
+		merged := make([]uint16, 0, len(x.array)+len(y.array))
+		p, q := 0, 0
+		for p < len(x.array) && q < len(y.array) {
+			switch {
+			case x.array[p] < y.array[q]:
+				merged = append(merged, x.array[p])
+				p++
+			case x.array[p] > y.array[q]:
+				merged = append(merged, y.array[q])
+				q++
+			default:
+				merged = append(merged, x.array[p])
+				p++
+				q++
+			}
+		}
+		merged = append(merged, x.array[p:]...)
+		merged = append(merged, y.array[q:]...)
+		c := &container{array: merged}
+		if len(merged) > ArrayMax {
+			c.promote()
+		}
+		return c
+	}
+	bm := make([]uint64, bitmapWords)
+	n := 0
+	for _, src := range [2]*container{x, y} {
+		if src.bitmap != nil {
+			for w, word := range src.bitmap {
+				bm[w] |= word
+			}
+			continue
+		}
+		for _, lo := range src.array {
+			bm[lo/wordBits] |= 1 << uint(lo%wordBits)
+		}
+	}
+	for _, word := range bm {
+		n += bits.OnesCount64(word)
+	}
+	return &container{bitmap: bm, n: n}
 }
 
 // pWords returns the dense operand's words for the chunk at base, clipped to

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -61,6 +62,180 @@ func kernelEqual(t *testing.T, a *Adaptive, dense Set, p Set, w []float64) {
 		if i < len(gotUnion) && gotUnion[i] != wantUnion[i] {
 			t.Fatalf("OrInto word %d = %x, want %x", i, gotUnion[i], wantUnion[i])
 		}
+	}
+}
+
+// checkShape verifies the structural invariants: strictly ascending chunk
+// keys, no empty container, a bitmap exactly when a chunk holds more than
+// ArrayMax ids, sorted unique arrays, and a cached cardinality that matches.
+func checkShape(t *testing.T, a *Adaptive) {
+	t.Helper()
+	total := 0
+	for i, c := range a.cs {
+		if i > 0 && a.keys[i] <= a.keys[i-1] {
+			t.Fatalf("chunk keys out of order at %d: %v", i, a.keys)
+		}
+		n := c.count()
+		if n == 0 {
+			t.Fatalf("chunk %d is empty", a.keys[i])
+		}
+		if (c.bitmap != nil) != (n > ArrayMax) {
+			t.Fatalf("chunk %d holds %d ids as bitmap=%v", a.keys[i], n, c.bitmap != nil)
+		}
+		if c.bitmap != nil {
+			pop := 0
+			for _, w := range c.bitmap {
+				pop += bits.OnesCount64(w)
+			}
+			if pop != c.n {
+				t.Fatalf("chunk %d: bitmap popcount %d, cached %d", a.keys[i], pop, c.n)
+			}
+		}
+		for j := 1; j < len(c.array); j++ {
+			if c.array[j] <= c.array[j-1] {
+				t.Fatalf("chunk %d: array not strictly ascending at %d", a.keys[i], j)
+			}
+		}
+		total += n
+	}
+	if total != a.n {
+		t.Fatalf("cardinality %d, containers hold %d", a.n, total)
+	}
+}
+
+// randomKernelOperands returns a dense positive set and weights over ids.
+func randomKernelOperands(rng *rand.Rand, ids int) (Set, []float64) {
+	p := New(ids)
+	w := make([]float64, ids)
+	for i := range w {
+		w[i] = rng.Float64()
+		if rng.Intn(3) == 0 {
+			p.Add(i)
+		}
+	}
+	return p, w
+}
+
+// TestAdaptiveAddAscendingVsOracle drives the ascending append path (the
+// shape of index construction and ingest) across chunk boundaries and the
+// ArrayMax crossover, mixing in duplicate and out-of-order adds that must
+// take the general path.
+func TestAdaptiveAddAscendingVsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		a := NewAdaptive()
+		oracle := make(map[int]bool)
+		id := rng.Intn(64)
+		for id < 3*chunkSize {
+			a.Add(id)
+			oracle[id] = true
+			switch rng.Intn(10) {
+			case 0: // duplicate of the last id
+				a.Add(id)
+			case 1: // out of order, below the last id
+				back := rng.Intn(id + 1)
+				a.Add(back)
+				oracle[back] = true
+			}
+			// Runs of small gaps fill some chunks past ArrayMax; large gaps
+			// leave others sparse or skip them entirely.
+			if trial%2 == 0 || (id>>chunkBits)%2 == 0 {
+				id += 1 + rng.Intn(12)
+			} else {
+				id += 1 + rng.Intn(4*chunkSize/ArrayMax)
+			}
+			if rng.Intn(5000) == 0 {
+				id += chunkSize
+			}
+		}
+		checkShape(t, a)
+		oracleEqual(t, a, oracle)
+		p, w := randomKernelOperands(rng, 3*chunkSize)
+		kernelEqual(t, a, FromSorted(a.AppendTo(nil)), p, w)
+	}
+	// Crossing ArrayMax by appends promotes exactly at ArrayMax+1.
+	a := NewAdaptive()
+	for i := 0; i <= ArrayMax; i++ {
+		a.Add(chunkSize + 2*i)
+		if arrays, bitmaps := a.Containers(); (i < ArrayMax) != (arrays == 1 && bitmaps == 0) {
+			t.Fatalf("after %d appends: containers = (%d arrays, %d bitmaps)", i+1, arrays, bitmaps)
+		}
+	}
+	checkShape(t, a)
+}
+
+// TestAdaptiveUnionVsOracle checks Union against the map oracle and the
+// dense Or on operands whose per-chunk cardinalities bracket ArrayMax, so
+// array ∪ array results land on both sides of the crossover, and checks
+// that neither operand changes.
+func TestAdaptiveUnionVsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cards := []int{0, 1, ArrayMax / 2, ArrayMax - 1, ArrayMax, ArrayMax + 1, 2 * ArrayMax}
+	random := func(perChunk [3]int) (*Adaptive, map[int]bool) {
+		oracle := make(map[int]bool)
+		for chunk, card := range perChunk {
+			for n := 0; n < card; {
+				id := chunk<<chunkBits + rng.Intn(chunkSize)
+				if !oracle[id] {
+					oracle[id] = true
+					n++
+				}
+			}
+		}
+		a := NewAdaptive()
+		for id := range oracle {
+			a.Add(id)
+		}
+		return a, oracle
+	}
+	for trial := 0; trial < 60; trial++ {
+		var ca, cb [3]int
+		for i := range ca {
+			ca[i], cb[i] = cards[rng.Intn(len(cards))], cards[rng.Intn(len(cards))]
+		}
+		a, oa := random(ca)
+		b, ob := random(cb)
+		beforeA, beforeB := a.AppendTo(nil), b.AppendTo(nil)
+		u := a.Union(b)
+		want := make(map[int]bool, len(oa)+len(ob))
+		for id := range oa {
+			want[id] = true
+		}
+		for id := range ob {
+			want[id] = true
+		}
+		checkShape(t, u)
+		oracleEqual(t, u, want)
+		dense := Or(FromSorted(beforeA), FromSorted(beforeB))
+		p, w := randomKernelOperands(rng, 3*chunkSize)
+		kernelEqual(t, u, dense, p, w)
+		if got := a.AppendTo(nil); len(got) != len(beforeA) || a.Count() != len(oa) {
+			t.Fatalf("trial %d: Union modified its receiver", trial)
+		}
+		if got := b.AppendTo(nil); len(got) != len(beforeB) || b.Count() != len(ob) {
+			t.Fatalf("trial %d: Union modified its argument", trial)
+		}
+		// The result is independent of both operands: adding to every chunk
+		// of it leaves them unchanged.
+		for chunk := 0; chunk < 3; chunk++ {
+			id := chunk << chunkBits
+			for u.Contains(id) {
+				id++
+			}
+			u.Add(id)
+			if a.Contains(id) || b.Contains(id) || a.Count() != len(oa) || b.Count() != len(ob) {
+				t.Fatalf("trial %d: Union result shares storage with an operand", trial)
+			}
+		}
+	}
+	// Two arrays of ArrayMax/2+1 disjoint ids each promote on union.
+	x, y := NewAdaptive(), NewAdaptive()
+	for i := 0; i <= ArrayMax/2; i++ {
+		x.Add(2 * i)
+		y.Add(2*i + 1)
+	}
+	if arrays, bitmaps := x.Union(y).Containers(); arrays != 0 || bitmaps != 1 {
+		t.Fatalf("array ∪ array past ArrayMax: containers = (%d arrays, %d bitmaps), want (0, 1)", arrays, bitmaps)
 	}
 }
 
@@ -136,7 +311,7 @@ func TestAdaptivePromotionDemotionBoundary(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFromSortedCrossover builds posting lists whose cardinality
+// TestAdaptiveFromSortedCrossover builds sorted id lists whose cardinality
 // brackets the crossover and checks AndNotSum bit-identity against dense on
 // each, with the p operand shorter, equal and longer than the coverage.
 func TestAdaptiveFromSortedCrossover(t *testing.T) {
@@ -150,7 +325,7 @@ func TestAdaptiveFromSortedCrossover(t *testing.T) {
 		for id := range seen {
 			ids = append(ids, id)
 		}
-		// AdaptiveFromSorted requires sorted input (posting lists are sorted).
+		// AdaptiveFromSorted requires sorted input.
 		for i := 1; i < len(ids); i++ {
 			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 				ids[j], ids[j-1] = ids[j-1], ids[j]
@@ -189,25 +364,43 @@ func TestAdaptiveClone(t *testing.T) {
 }
 
 // FuzzAdaptiveOps drives random op sequences from fuzz input against the map
-// oracle, then checks the fused kernels against the dense reference.
+// oracle — adds and removes on two sets, and unions of the second into the
+// first — then checks the fused kernels against the dense reference.
 func FuzzAdaptiveOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xff, 0x00, 0x10, 0x20, 0x30, 0x40})
+	f.Add([]byte{0x08, 0x00, 0x01, 0x09, 0x10, 0x00, 0x10, 0, 0, 0x00, 0x00, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := NewAdaptive()
-		oracle := make(map[int]bool)
+		a, b := NewAdaptive(), NewAdaptive()
+		oracle, oracleB := make(map[int]bool), make(map[int]bool)
 		for i := 0; i+2 < len(data); i += 3 {
+			if data[i]&0x10 != 0 {
+				a = a.Union(b)
+				for id := range oracleB {
+					oracle[id] = true
+				}
+				continue
+			}
 			id := int(data[i+1])<<8 | int(data[i+2])
 			// Spread ops across three chunks so both container kinds and the
 			// chunk directory get exercised.
 			id += int(data[i]&0x03) << chunkBits
-			if data[i]&0x04 != 0 {
-				a.Remove(id)
-				delete(oracle, id)
-			} else {
-				a.Add(id)
-				oracle[id] = true
+			set, m := a, oracle
+			if data[i]&0x08 != 0 {
+				set, m = b, oracleB
 			}
+			if data[i]&0x04 != 0 {
+				set.Remove(id)
+				delete(m, id)
+			} else {
+				set.Add(id)
+				m[id] = true
+			}
+		}
+		checkShape(t, a)
+		checkShape(t, b)
+		if b.Count() != len(oracleB) {
+			t.Fatalf("second set drifted: %d ids vs %d oracle entries", b.Count(), len(oracleB))
 		}
 		ids := a.AppendTo(nil)
 		if len(ids) != len(oracle) {

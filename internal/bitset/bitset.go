@@ -1,14 +1,14 @@
 // Package bitset implements dense bitsets over sentence IDs as []uint64
 // words. It is the coverage kernel of the interactive hot path: candidate
 // scoring, cleanup and traversal reduce to word-wise And/AndNot plus
-// popcount instead of per-id map lookups over posting lists.
+// popcount instead of per-id map lookups.
 //
 // Sets are plain slices: a nil Set is a valid empty set, and all binary
 // operations tolerate operands of different lengths (missing words are
 // treated as zero). Sets are not goroutine-safe for mutation, but any number
 // of goroutines may read (And*, Count, Contains, Range, sums) concurrently
 // once a set is no longer mutated — which is how the engine publishes node
-// coverage bits.
+// coverage.
 package bitset
 
 import "math/bits"
@@ -245,7 +245,7 @@ func AndNotCount(a, b Set) int {
 
 // AndNotSum returns Σ_{id ∈ a \ b} w[id] together with |a \ b|, iterating
 // ids in ascending order (so float accumulation order matches a scan of the
-// sorted posting list — the scoring paths rely on bit-identical sums). Ids
+// sorted ids — the scoring paths rely on bit-identical sums). Ids
 // beyond len(w) contribute zero weight but still count.
 func AndNotSum(a, b Set, w []float64) (sum float64, count int) {
 	for i, word := range a {

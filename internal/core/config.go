@@ -69,10 +69,11 @@ type Config struct {
 	// score.
 	FeatureCacheCap int
 
-	// Kernel selects the index's per-node coverage representation:
-	// index.KernelAdaptive (the default, roaring-style compressed
-	// containers) or index.KernelDense (the original dense mirror, kept as
-	// the pinned reference for equivalence tests and benchmark A/B runs).
+	// Kernel selects the index's published per-node coverage:
+	// index.KernelAdaptive (the default: the stored roaring-style compressed
+	// set itself) or index.KernelDense (a dense mirror built from it at
+	// publish, kept as the pinned reference for equivalence tests and
+	// benchmark A/B runs).
 	// Both kernels are bit-identical in every score.
 	Kernel string
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/oracle"
 	"repro/internal/sketch"
-	"repro/internal/traversal"
 )
 
 // RuleRecord describes one oracle interaction (or seed rule) of a run.
@@ -219,13 +218,14 @@ func (e *Engine) MaterializeRule(spec string) (string, []int, error) {
 		return "", nil, fmt.Errorf("core: rule %q: %w", spec, err)
 	}
 	e.ixMu.Lock()
-	node := e.ix.EnsureHeuristic(h, e.corp)
+	e.ix.EnsureHeuristic(h, e.corp)
 	e.ix.BuildEdges()
+	ids := e.ix.Coverage(h.Key())
 	if e.matHook != nil {
 		e.matHook([]string{spec})
 	}
 	e.ixMu.Unlock()
-	return h.Key(), append([]int(nil), node.Postings...), nil
+	return h.Key(), ids, nil
 }
 
 // CoverageBits resolves a rule specification to its canonical key and full
@@ -357,34 +357,25 @@ func (e *Engine) SuggestRules(positives map[int]bool, exclude map[string]bool, k
 	scores := e.scores
 	e.ixMu.RUnlock()
 	var out []Suggestion
+	var ids []int
 	for _, key := range h.NonRootKeys() {
 		if exclude[key] {
 			continue
 		}
 		n := h.Node(key)
-		var benefit float64
-		var newCov int
-		if n.Bits != nil {
-			benefit, newCov = n.Bits.AndNotSum(posBits, scores)
-		} else {
-			benefit = traversal.Benefit(n.Coverage, positives, scores)
-			for _, id := range n.Coverage {
-				if !positives[id] {
-					newCov++
-				}
-			}
-		}
+		benefit, newCov := n.Bits.AndNotSum(posBits, scores)
 		if newCov == 0 {
 			continue
 		}
 		avgBenefit := benefit / float64(newCov)
+		ids = n.Bits.AppendTo(ids[:0])
 		e.rngMu.Lock()
-		samples := oracle.SampleCoverage(n.Coverage, e.cfg.OracleSampleSize, e.rng)
+		samples := oracle.SampleCoverage(ids, e.cfg.OracleSampleSize, e.rng)
 		e.rngMu.Unlock()
 		out = append(out, Suggestion{
 			Key:         key,
 			Rule:        n.Heuristic.String(),
-			Coverage:    len(n.Coverage),
+			Coverage:    len(ids),
 			NewCoverage: newCov,
 			Benefit:     benefit,
 			AvgBenefit:  avgBenefit,
@@ -420,10 +411,12 @@ func addCoverage(positives map[int]bool, cov []int) []int {
 	return added
 }
 
-// coverageOf resolves a rule key's coverage from the hierarchy or the index.
-func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) []int {
+// coverageIDs resolves a rule key's coverage from the hierarchy or the index
+// and returns its ids — the one per-step copy, for the oracle sample and the
+// accepted positives.
+func coverageIDs(ix *index.Index, h *hierarchy.Hierarchy, key string) []int {
 	if n := h.Node(key); n != nil {
-		return n.Coverage
+		return bitset.IDs(n.Bits)
 	}
 	return ix.Coverage(key)
 }

@@ -209,8 +209,8 @@ func (maxCoverageTraversal) Next(st *traversal.State) (string, bool) {
 		if st.Queried[key] {
 			continue
 		}
-		if n := st.Hierarchy.Node(key); n != nil && len(n.Coverage) > bestCov {
-			best, bestCov = key, len(n.Coverage)
+		if n := st.Hierarchy.Node(key); n != nil && n.Bits.Count() > bestCov {
+			best, bestCov = key, n.Bits.Count()
 		}
 	}
 	return best, best != ""

@@ -79,17 +79,18 @@ func (e *Engine) CorpusView() *corpus.Corpus {
 	return e.corp.View()
 }
 
-// ContainerStats reports how the index's per-node coverage mirrors are
-// represented (adaptive array containers, adaptive bitmap containers, dense
-// fallbacks), under the engine's read lock.
+// ContainerStats reports how the index's published per-node coverage is
+// represented (adaptive array containers, adaptive bitmap containers, and
+// dense mirrors under the reference kernel), under the engine's read lock.
 func (e *Engine) ContainerStats() (arrays, bitmaps, dense int) {
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
 	return e.ix.ContainerStats()
 }
 
-// CoverageBytes reports the memory footprint of the index's per-node
-// coverage mirrors, under the engine's read lock.
+// CoverageBytes reports the memory footprint of the index's published
+// per-node coverage — each node's one stored adaptive set, or its dense
+// mirror under the reference kernel — under the engine's read lock.
 func (e *Engine) CoverageBytes() int {
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()

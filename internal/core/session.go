@@ -216,16 +216,17 @@ func (s *Session) init(opts SessionOptions) error {
 	}
 	s.posBits = bitset.New(e.corp.Len())
 	for _, h := range heuristics {
-		node := e.ix.EnsureHeuristic(h, e.corp)
-		added := s.addPositives(node.Postings)
+		e.ix.EnsureHeuristic(h, e.corp)
+		ids := e.ix.Coverage(h.Key())
+		added := s.addPositives(ids)
 		s.seedKeys = append(s.seedKeys, h.Key())
 		s.report.Accepted = append(s.report.Accepted, RuleRecord{
 			Question:       0,
 			Key:            h.Key(),
 			Rule:           h.String(),
-			Coverage:       node.Count(),
+			Coverage:       len(ids),
 			Accepted:       true,
-			CoverageIDs:    append([]int(nil), node.Postings...),
+			CoverageIDs:    ids,
 			AddedIDs:       added,
 			PositivesAfter: len(s.positives),
 		})
@@ -339,7 +340,7 @@ func (s *Session) Next() (Suggestion, bool) {
 		return Suggestion{}, false
 	}
 	s.queried[key] = true
-	cov := coverageOf(e.ix, h, key)
+	cov := coverageIDs(e.ix, h, key)
 	heur := heuristicOf(e.ix, h, key)
 
 	benefit, newCov := st.BenefitNewOf(key)
@@ -392,7 +393,7 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 	}
 	if accept {
 		// Lines 9-12: extend P, retrain, rescore.
-		rec.CoverageIDs = append([]int(nil), pending.cov...)
+		rec.CoverageIDs = pending.cov
 		rec.AddedIDs = s.addPositives(pending.cov)
 		s.report.Accepted = append(s.report.Accepted, rec)
 		s.retrain()

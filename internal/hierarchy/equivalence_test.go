@@ -14,6 +14,19 @@ import (
 	"repro/internal/tokensregex"
 )
 
+// mapCounts returns |C_r ∩ P| and |C_r \ P| by per-id map lookups, the
+// reference the kernel scoring must match.
+func mapCounts(ix *index.Index, key string, p map[int]bool) (overlap, fresh int) {
+	for _, id := range ix.Coverage(key) {
+		if p[id] {
+			overlap++
+		} else {
+			fresh++
+		}
+	}
+	return overlap, fresh
+}
+
 // referenceGenerateCandidates is the pre-kernel implementation of Algorithm 2
 // (greedy best-first expansion with per-id map scoring), kept verbatim as the
 // oracle the bitset path must match key-for-key.
@@ -23,7 +36,8 @@ func referenceGenerateCandidates(ix *index.Index, positives map[int]bool, cfg Co
 		k = 10000
 	}
 	score := func(key string) cand {
-		return cand{key: key, overlap: ix.CoverageOverlap(key, positives), total: ix.Count(key)}
+		overlap, _ := mapCounts(ix, key, positives)
+		return cand{key: key, overlap: overlap, total: ix.Count(key)}
 	}
 	selected := make([]string, 0, k)
 	inSelected := map[string]bool{grammar.RootKey: true}

@@ -5,10 +5,11 @@
 // subset/superset edges plus the cleanup pass that drops heuristics adding no
 // new positives.
 //
-// Candidate scoring runs on the dense bitset coverage kernel (word-wise
-// intersection + popcount against the positive set) and fans large scoring
-// batches across a bounded worker pool; the map-based Generate entry point
-// is a thin wrapper that converts the positive set once.
+// Candidate scoring runs on the index's published coverage sets
+// (intersection + popcount against the dense positive set) and fans large
+// scoring batches across a bounded worker pool; hierarchy nodes share those
+// sets rather than copying them. The map-based Generate entry point is a
+// thin wrapper that converts the positive set once.
 package hierarchy
 
 import (
@@ -42,11 +43,9 @@ type Node struct {
 	Key string
 	// Heuristic is the candidate labeling rule.
 	Heuristic grammar.Heuristic
-	// Coverage is the sorted sentence-ID list covered by the rule.
-	Coverage []int
-	// Bits is the coverage-kernel mirror of Coverage — dense or adaptive,
-	// shared with the index node when the hierarchy was generated from an
-	// index; nil for nodes added by hand. Read-only.
+	// Bits is the set of sentences the rule covers: the index node's
+	// published set when the hierarchy was generated from an index (shared,
+	// and immutable), or the set given to Add. Read-only.
 	Bits bitset.Cover
 	// Parents and Children are hierarchy edges (superset / subset).
 	Parents  []string
@@ -92,20 +91,18 @@ func (h *Hierarchy) Contains(key string) bool {
 	return ok
 }
 
-// Add inserts a node for the heuristic with the given coverage if absent and
-// returns it. Edges are not recomputed automatically; call LinkEdges after a
-// batch of additions.
-func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
-	n := h.add(heur, coverage)
-	return n
-}
-
-func (h *Hierarchy) add(heur grammar.Heuristic, coverage []int) *Node {
+// Add inserts a node for the heuristic with the given coverage (nil means
+// empty) if absent and returns it. Edges are not recomputed automatically;
+// call LinkEdges after a batch of additions.
+func (h *Hierarchy) Add(heur grammar.Heuristic, coverage bitset.Cover) *Node {
 	key := heur.Key()
 	if n, ok := h.nodes[key]; ok {
 		return n
 	}
-	n := &Node{Key: key, Heuristic: heur, Coverage: coverage}
+	if coverage == nil {
+		coverage = bitset.NewAdaptive()
+	}
+	n := &Node{Key: key, Heuristic: heur, Bits: coverage}
 	h.nodes[key] = n
 	h.order = append(h.order, key)
 	if key != grammar.RootKey {
@@ -311,8 +308,7 @@ func Build(ix *index.Index, candidateKeys []string, positives map[int]bool, cfg 
 // BuildBits is Build over a bitset positive set.
 func BuildBits(ix *index.Index, candidateKeys []string, positives bitset.Set, cfg Config) *Hierarchy {
 	h := &Hierarchy{nodes: make(map[string]*Node, len(candidateKeys)+1)}
-	root := h.add(grammar.Root(), ix.Root().Postings)
-	root.Bits = ix.Root().Bits()
+	h.Add(grammar.Root(), ix.Root().Bits())
 
 	cleanup := cfg.Cleanup && positives.Count() > 0
 	for _, key := range candidateKeys {
@@ -323,8 +319,7 @@ func BuildBits(ix *index.Index, candidateKeys []string, positives bitset.Set, cf
 		if cleanup && ix.NewCoverageBits(key, positives) == 0 {
 			continue
 		}
-		hn := h.add(n.Heuristic, n.Postings)
-		hn.Bits = n.Bits()
+		h.Add(n.Heuristic, n.Bits())
 	}
 	h.LinkEdges(ix)
 	return h

@@ -52,7 +52,7 @@ func TestGenerateCandidatesPrefersOverlap(t *testing.T) {
 	}
 	// The first candidate must overlap P (greedy best-first by overlap).
 	first := keys[0]
-	if ix.CoverageOverlap(first, p) == 0 {
+	if overlap, _ := mapCounts(ix, first, p); overlap == 0 {
 		t.Errorf("first candidate %q has no overlap with P", first)
 	}
 	// No candidate may violate the constraints.
@@ -107,7 +107,7 @@ func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 			t.Errorf("node %q has no parents", key)
 		}
 		// Cleanup: every surviving rule adds at least one new sentence.
-		if ix.NewCoverage(key, p) == 0 {
+		if _, fresh := mapCounts(ix, key, p); fresh == 0 {
 			t.Errorf("node %q adds no new positives but survived cleanup", key)
 		}
 		// Edge symmetry and subset relation.
@@ -128,15 +128,12 @@ func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 			if pk == grammar.RootKey {
 				continue
 			}
-			pset := map[int]bool{}
-			for _, id := range parent.Coverage {
-				pset[id] = true
-			}
-			for _, id := range n.Coverage {
-				if !pset[id] {
+			n.Bits.Range(func(id int) bool {
+				if !parent.Bits.Contains(id) {
 					t.Errorf("hierarchy parent %q does not cover %d covered by %q", pk, id, key)
 				}
-			}
+				return true
+			})
 		}
 	}
 }

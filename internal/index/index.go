@@ -1,25 +1,37 @@
 // Package index implements the corpus index of §3.1 (Figure 6): a trie-like
 // structure obtained by merging per-sentence derivation sketches. Each node
-// represents one heuristic and stores its coverage count, an inverted list of
-// the sentences that satisfy it, and parent/child edges capturing the
-// superset/subset relationship between heuristics.
+// represents one heuristic and stores its coverage — the set of sentences
+// that satisfy it — plus parent/child edges capturing the superset/subset
+// relationship between heuristics.
 //
 // The index is the single source of coverage truth for candidate generation,
 // hierarchy construction and traversal. It is built in linear time in the
 // number of sentences (for bounded-depth sketches), supports sharded parallel
-// construction via Merge, and has O(1) amortized update time for adding one
-// sentence's sketch.
+// construction via Merge, and adds one sentence's sketch in O(1) amortized
+// time per heuristic between publishes (the first change to a published
+// node copies its set, see below).
+//
+// # One coverage copy per node
+//
+// A node's coverage is stored once, as a compressed *bitset.Adaptive. Ids
+// arrive in ascending order during construction and ingest, so adding one
+// is an append; Merge takes the adaptive union.
 //
 // # Publish points and read paths
 //
-// Mutations (AddSketch, Merge, EnsureHeuristic, Prune) invalidate the
-// parent/child edges; BuildEdges recomputes them — and materializes each
-// node's dense coverage bitset alongside its sorted posting list — at a
-// "publish point" (Build, Prune, or an explicit BuildEdges after Merge or
-// EnsureHeuristic). After publishing, every accessor is a pure read, so any
-// number of goroutines may use the index concurrently. Children and Parents
-// panic on an unpublished index instead of lazily mutating it, because a
-// lazy rebuild under a caller's read lock is a data race.
+// Mutations (AddSketch, AddSentence, Merge, EnsureHeuristic, Prune)
+// invalidate the parent/child edges; BuildEdges recomputes them at a
+// "publish point" (Build, Prune, or an explicit BuildEdges after Merge,
+// EnsureHeuristic or ingest) and publishes the coverage of every node
+// touched since the last one. A published set is immutable: the first
+// mutation of a node after a publish clones its set (copy-on-write), so a
+// set handed out by Bits stays valid after the lock is released, whatever
+// is ingested later. Under the dense reference kernel, publishing builds a
+// dense mirror of the set and readers get the mirror. After publishing,
+// every accessor is a pure read, so any number of goroutines may use the
+// index concurrently. Children and Parents panic on an unpublished index
+// instead of lazily mutating it, because a lazy rebuild under a caller's
+// read lock is a data race.
 package index
 
 import (
@@ -38,17 +50,15 @@ type Node struct {
 	// Heuristic is the labeling heuristic this node represents. The root
 	// node holds grammar.Root().
 	Heuristic grammar.Heuristic
-	// Postings is the sorted inverted list of sentence IDs satisfying the
-	// heuristic.
-	Postings []int
 
-	// bits is the coverage-kernel mirror of Postings — a dense bitset.Set or
-	// a compressed *bitset.Adaptive depending on the index kernel —
-	// materialized at publish points (BuildEdges / EnsureHeuristic); bitsN is
-	// len(Postings) at the time bits was built, used to detect staleness
-	// cheaply.
-	bits  bitset.Cover
-	bitsN int
+	// cov is the node's coverage, the only stored copy. Once published it
+	// is shared with readers and never modified again: the next mutation
+	// replaces it with a clone.
+	cov *bitset.Adaptive
+	// bits is the published coverage: cov itself under KernelAdaptive, a
+	// dense mirror of it under KernelDense. It is nil while the node has
+	// mutations not yet published by BuildEdges.
+	bits bitset.Cover
 
 	// adhoc marks nodes materialized by EnsureHeuristic's corpus scan rather
 	// than derived from sentence sketches. Their heuristics are not reachable
@@ -60,11 +70,15 @@ type Node struct {
 	children []string
 }
 
+func newNode(h grammar.Heuristic) *Node {
+	return &Node{Heuristic: h, cov: bitset.NewAdaptive()}
+}
+
 // Key returns the node's heuristic key.
 func (n *Node) Key() string { return n.Heuristic.Key() }
 
 // Count returns the coverage |C_r| of the node's heuristic.
-func (n *Node) Count() int { return len(n.Postings) }
+func (n *Node) Count() int { return n.cov.Count() }
 
 // Parents returns the keys of the node's parent nodes (generalizations).
 func (n *Node) Parents() []string { return n.parents }
@@ -72,37 +86,36 @@ func (n *Node) Parents() []string { return n.parents }
 // Children returns the keys of the node's child nodes (specializations).
 func (n *Node) Children() []string { return n.children }
 
-// Bits returns the node's coverage set, or nil if the node has not been
-// published (BuildEdges) since its postings last changed. The returned set
-// must not be modified.
-func (n *Node) Bits() bitset.Cover {
-	if n.bits == nil || n.bitsN != len(n.Postings) {
-		return nil
+// Bits returns the node's published coverage set, or nil if the node has
+// changed since the last publish (BuildEdges). The returned set is immutable
+// and stays valid after later mutations of the index.
+func (n *Node) Bits() bitset.Cover { return n.bits }
+
+// add inserts a sentence id into the node's coverage, cloning a published
+// set first so readers holding it never observe the change.
+func (n *Node) add(id int) {
+	if n.bits != nil {
+		n.cov = n.cov.Clone()
+		n.bits = nil
 	}
-	return n.bits
+	n.cov.Add(id)
 }
 
-// refreshBits (re)materializes the node's coverage set if it is stale or in
-// the wrong representation for the index kernel.
-func (n *Node) refreshBits(kernel string) {
-	if n.bits != nil && n.bitsN == len(n.Postings) {
-		if _, adaptive := n.bits.(*bitset.Adaptive); adaptive == (kernel == KernelAdaptive) {
-			return
-		}
-	}
-	if kernel == KernelAdaptive {
-		n.bits = bitset.AdaptiveFromSorted(n.Postings)
+// publish makes the node's coverage readable through Bits in the
+// representation the kernel selects.
+func (n *Node) publish(kernel string) {
+	if kernel == KernelDense {
+		n.bits = n.cov.OrInto(nil)
 	} else {
-		n.bits = bitset.FromSorted(n.Postings)
+		n.bits = n.cov
 	}
-	n.bitsN = len(n.Postings)
 }
 
-// Coverage kernels: which representation BuildEdges materializes per-node
-// coverage in. Adaptive (the default) uses roaring-style compressed bitsets
-// whose memory scales with coverage cardinality instead of corpus size;
-// dense is the original []uint64 mirror and remains the pinned reference the
-// equivalence tests compare against.
+// Coverage kernels: which representation Bits publishes per-node coverage
+// in. Adaptive (the default) publishes the stored roaring-style compressed
+// set itself, whose memory scales with coverage cardinality instead of
+// corpus size; dense publishes a []uint64 mirror built from it and remains
+// the pinned reference the equivalence tests compare against.
 const (
 	KernelAdaptive = "adaptive"
 	KernelDense    = "dense"
@@ -114,7 +127,7 @@ type Index struct {
 	// kernel selects the per-node coverage representation ("" means
 	// KernelAdaptive).
 	kernel string
-	// edgesBuilt records whether parent/child edges (and coverage bitsets)
+	// edgesBuilt records whether parent/child edges (and published coverage)
 	// are up to date.
 	edgesBuilt bool
 	// keys is the sorted key cache, valid while edgesBuilt.
@@ -127,12 +140,13 @@ type Index struct {
 	adhoc []*Node
 }
 
-// New returns an empty index containing only the root node (with no
-// postings; the root conceptually covers every sentence). An empty index is
-// trivially published: its edges are built.
+// New returns an empty index containing only the root node, whose coverage
+// grows with every sentence added. An empty index is trivially published.
 func New() *Index {
 	ix := &Index{nodes: make(map[string]*Node), edgesBuilt: true}
-	ix.nodes[grammar.RootKey] = &Node{Heuristic: grammar.Root()}
+	root := newNode(grammar.Root())
+	root.publish(KernelAdaptive)
+	ix.nodes[grammar.RootKey] = root
 	return ix
 }
 
@@ -145,10 +159,10 @@ func (ix *Index) Kernel() string {
 	return KernelAdaptive
 }
 
-// SetKernel switches the per-node coverage representation and republishes
+// SetKernel switches the published coverage representation and republishes
 // the index. A no-op when the kernel is unchanged. Callers holding the
 // engine's index write lock may call it at any time; it never changes
-// postings, so versioned caches built on the old kernel stay semantically
+// coverage, so versioned caches built on the old kernel stay semantically
 // valid but are invalidated anyway (the representation under their bits
 // pointer swapped).
 func (ix *Index) SetKernel(kernel string) {
@@ -159,6 +173,9 @@ func (ix *Index) SetKernel(kernel string) {
 		return
 	}
 	ix.kernel = kernel
+	for _, n := range ix.nodes {
+		n.publish(kernel)
+	}
 	ix.invalidate()
 	ix.BuildEdges()
 }
@@ -224,28 +241,28 @@ func (ix *Index) AddSentence(sk sketch.Sketch, s *corpus.Sentence) {
 	}
 	for _, n := range ix.adhoc {
 		if n.Heuristic.Matches(s) {
-			n.Postings = insertSorted(n.Postings, s.ID)
+			n.add(s.ID)
 		}
 	}
 }
 
-// AddSketch merges one sentence's derivation sketch into the index,
-// incrementing counts and extending inverted lists. Edges are invalidated
-// and must be rebuilt with BuildEdges before the index is read concurrently.
+// AddSketch merges one sentence's derivation sketch into the index, adding
+// the sentence to the coverage of every heuristic in it. Edges are
+// invalidated and must be rebuilt with BuildEdges before the index is read
+// concurrently.
 func (ix *Index) AddSketch(sk sketch.Sketch) {
 	if sk.SentenceID < 0 {
 		return
 	}
-	root := ix.nodes[grammar.RootKey]
-	root.Postings = insertSorted(root.Postings, sk.SentenceID)
+	ix.nodes[grammar.RootKey].add(sk.SentenceID)
 	for _, h := range sk.Heuristics {
 		key := h.Key()
 		n, ok := ix.nodes[key]
 		if !ok {
-			n = &Node{Heuristic: h}
+			n = newNode(h)
 			ix.nodes[key] = n
 		}
-		n.Postings = insertSorted(n.Postings, sk.SentenceID)
+		n.add(sk.SentenceID)
 	}
 	ix.invalidate()
 }
@@ -257,70 +274,41 @@ func (ix *Index) invalidate() {
 	ix.version++
 }
 
-// insertSorted appends id keeping the slice sorted and deduplicated. In the
-// common case (ids arrive in increasing order) this is O(1).
-func insertSorted(xs []int, id int) []int {
-	if n := len(xs); n == 0 || xs[n-1] < id {
-		return append(xs, id)
-	}
-	i := sort.SearchInts(xs, id)
-	if i < len(xs) && xs[i] == id {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = id
-	return xs
-}
-
-// Merge folds another index into this one (union of postings per key). Edges
-// are invalidated and must be rebuilt with BuildEdges.
+// Merge folds another index into this one (union of coverage per key,
+// keeping ad-hoc nodes ad hoc). Edges are invalidated and must be rebuilt
+// with BuildEdges.
 func (ix *Index) Merge(other *Index) {
 	for key, on := range other.nodes {
 		n, ok := ix.nodes[key]
 		if !ok {
-			ix.nodes[key] = &Node{Heuristic: on.Heuristic, Postings: append([]int(nil), on.Postings...)}
-			continue
+			n = &Node{Heuristic: on.Heuristic, cov: on.cov.Clone()}
+			ix.nodes[key] = n
+		} else {
+			n.cov = n.cov.Union(on.cov)
+			n.bits = nil
 		}
-		n.Postings = mergeSorted(n.Postings, on.Postings)
+		if on.adhoc && !n.adhoc {
+			n.adhoc = true
+			ix.adhoc = append(ix.adhoc, n)
+		}
 	}
 	ix.invalidate()
 }
 
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // BuildEdges (re)computes parent/child edges between materialized nodes,
-// refreshes each node's coverage bitset, and caches the sorted key list. A
-// heuristic whose grammatical parents are not materialized (e.g. stop-word
-// unigrams filtered from sketches) is attached directly to the root. This is
-// the publish point: after it returns, all read accessors are safe for
-// concurrent use until the next mutation.
+// publishes the coverage of every node changed since the last publish, and
+// caches the sorted key list. A heuristic whose grammatical parents are not
+// materialized (e.g. stop-word unigrams filtered from sketches) is attached
+// directly to the root. This is the publish point: after it returns, all
+// read accessors are safe for concurrent use until the next mutation.
 func (ix *Index) BuildEdges() {
 	kernel := ix.Kernel()
 	for _, n := range ix.nodes {
 		n.parents = n.parents[:0]
 		n.children = n.children[:0]
-		n.refreshBits(kernel)
+		if n.bits == nil {
+			n.publish(kernel)
+		}
 	}
 	keys := make([]string, 0, len(ix.nodes))
 	for k := range ix.nodes {
@@ -417,12 +405,12 @@ func (ix *Index) Keys() []string {
 	return out
 }
 
-// Coverage returns the posting list (sorted sentence IDs) of the heuristic
-// with the given key, or nil if the key is not materialized. The returned
-// slice must not be modified.
+// Coverage returns the ids (ascending) of the sentences the heuristic with
+// the given key covers, as a fresh slice, or nil if the key is not
+// materialized or covers nothing.
 func (ix *Index) Coverage(key string) []int {
 	if n, ok := ix.nodes[key]; ok {
-		return n.Postings
+		return bitset.IDs(n.cov)
 	}
 	return nil
 }
@@ -439,7 +427,8 @@ func (ix *Index) Bits(key string) bitset.Cover {
 
 // ContainerStats reports the coverage-representation census across all
 // published nodes: adaptive array and bitmap container counts, plus how many
-// nodes hold a dense mirror. It feeds the darwin_bitset_containers gauge.
+// nodes publish a dense mirror (dense kernel only). It feeds the
+// darwin_bitset_containers gauge.
 func (ix *Index) ContainerStats() (arrays, bitmaps, dense int) {
 	for _, n := range ix.nodes {
 		switch b := n.bits.(type) {
@@ -457,7 +446,8 @@ func (ix *Index) ContainerStats() (arrays, bitmaps, dense int) {
 }
 
 // CoverageBytes sums the payload bytes of every published node coverage set
-// — the series the scale benchmark compares across kernels.
+// (the stored adaptive sets, or the dense mirrors under KernelDense) — the
+// series the scale benchmark compares across kernels.
 func (ix *Index) CoverageBytes() int {
 	total := 0
 	for _, n := range ix.nodes {
@@ -506,80 +496,44 @@ func (ix *Index) Parents(key string) []string {
 	return nil
 }
 
-// CoverageOverlap returns |C_r ∩ P| for the heuristic with the given key and
-// a set P of sentence IDs. This is the map-based reference path; the scoring
-// hot paths use OverlapBits.
-func (ix *Index) CoverageOverlap(key string, p map[int]bool) int {
-	n := 0
-	for _, id := range ix.Coverage(key) {
-		if p[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// NewCoverage returns |C_r \ P|: how many sentences the heuristic would add
-// beyond the already-discovered set P (map-based reference path; see
-// NewCoverageBits).
-func (ix *Index) NewCoverage(key string, p map[int]bool) int {
-	n := 0
-	for _, id := range ix.Coverage(key) {
-		if !p[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// OverlapBits returns |C_r ∩ P| via word-wise intersection + popcount. It
-// falls back to the posting list when the node's bitset is unpublished.
+// OverlapBits returns |C_r ∩ P| via word-wise intersection + popcount on the
+// published set (the stored set when the node is unpublished).
 func (ix *Index) OverlapBits(key string, p bitset.Set) int {
-	n, ok := ix.nodes[key]
-	if !ok {
-		return 0
+	if n, ok := ix.nodes[key]; ok {
+		return n.cover().AndCount(p)
 	}
-	if b := n.Bits(); b != nil {
-		return b.AndCount(p)
-	}
-	c := 0
-	for _, id := range n.Postings {
-		if p.Contains(id) {
-			c++
-		}
-	}
-	return c
+	return 0
 }
 
-// NewCoverageBits returns |C_r \ P| via word-wise and-not + popcount, with
-// the same posting-list fallback as OverlapBits.
+// NewCoverageBits returns |C_r \ P| via word-wise and-not + popcount, on
+// the same set as OverlapBits.
 func (ix *Index) NewCoverageBits(key string, p bitset.Set) int {
-	n, ok := ix.nodes[key]
-	if !ok {
-		return 0
+	if n, ok := ix.nodes[key]; ok {
+		return n.cover().AndNotCount(p)
 	}
-	if b := n.Bits(); b != nil {
-		return b.AndNotCount(p)
+	return 0
+}
+
+// cover returns the published set, or the stored one while unpublished.
+func (n *Node) cover() bitset.Cover {
+	if n.bits != nil {
+		return n.bits
 	}
-	c := 0
-	for _, id := range n.Postings {
-		if !p.Contains(id) {
-			c++
-		}
-	}
-	return c
+	return n.cov
 }
 
 // EnsureHeuristic materializes an ad-hoc heuristic (e.g. a parsed seed rule
 // or a specialization generated during traversal) by scanning the corpus for
-// its coverage, unless it is already present. It returns the node. Edges are
-// invalidated: callers must BuildEdges before the index is read again.
+// its coverage, unless it is already present. It returns the node, whose
+// coverage is published at once (no reader can hold an older set of a new
+// node). Edges are invalidated: callers must BuildEdges before the index is
+// read again.
 func (ix *Index) EnsureHeuristic(h grammar.Heuristic, c *corpus.Corpus) *Node {
 	if n, ok := ix.nodes[h.Key()]; ok {
 		return n
 	}
-	n := &Node{Heuristic: h, Postings: grammar.Coverage(h, c), adhoc: true}
-	n.refreshBits(ix.Kernel())
+	n := &Node{Heuristic: h, cov: bitset.AdaptiveFromSorted(grammar.Coverage(h, c)), adhoc: true}
+	n.publish(ix.Kernel())
 	ix.nodes[h.Key()] = n
 	ix.adhoc = append(ix.adhoc, n)
 	ix.invalidate()

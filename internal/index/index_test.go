@@ -1,12 +1,10 @@
 package index
 
 import (
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/sketch"
@@ -73,7 +71,7 @@ func TestBuildFigure6Counts(t *testing.T) {
 	if got := ix.Count("tokensregex:shuttle"); got != 0 {
 		t.Errorf("Count(shuttle) = %d, want 0", got)
 	}
-	// Root postings cover both sentences.
+	// Root coverage spans both sentences.
 	if ix.Root().Count() != 2 {
 		t.Errorf("root count = %d", ix.Root().Count())
 	}
@@ -109,18 +107,15 @@ func TestParentChildEdgesAndAntiMonotonicity(t *testing.T) {
 				t.Fatalf("dangling child edge %s -> %s", key, ck)
 			}
 			// Anti-monotonicity: parent coverage superset of child coverage.
-			pset := map[int]bool{}
-			for _, id := range n.Postings {
-				pset[id] = true
-			}
 			if key == grammar.RootKey {
 				continue
 			}
-			for _, id := range child.Postings {
-				if !pset[id] {
+			child.Bits().Range(func(id int) bool {
+				if !n.Bits().Contains(id) {
 					t.Errorf("child %s covers %d not covered by parent %s", ck, id, key)
 				}
-			}
+				return true
+			})
 		}
 		for _, pk := range ix.Parents(key) {
 			if ix.Node(pk) == nil {
@@ -175,8 +170,9 @@ func TestMergeEqualsSequentialBuild(t *testing.T) {
 		t.Fatalf("merged len %d != sequential len %d", a.Len(), seq.Len())
 	}
 	for _, key := range seq.Keys() {
-		if !reflect.DeepEqual(seq.Coverage(key), a.Coverage(key)) {
-			t.Errorf("postings differ for %s: %v vs %v", key, seq.Coverage(key), a.Coverage(key))
+		want, got := seq.Node(key).Bits().AppendTo(nil), a.Node(key).Bits().AppendTo(nil)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("coverage differs for %s: %v vs %v", key, want, got)
 		}
 	}
 }
@@ -211,6 +207,10 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		if seq.Count(key) != par.Count(key) {
 			t.Errorf("count mismatch for %s: %d vs %d", key, seq.Count(key), par.Count(key))
 		}
+		want, got := seq.Node(key).Bits().AppendTo(nil), par.Node(key).Bits().AppendTo(nil)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("coverage differs for %s: %v vs %v", key, want, got)
+		}
 	}
 }
 
@@ -244,20 +244,33 @@ func TestCoverageOverlapAndNewCoverage(t *testing.T) {
 	b := sketch.NewBuilder(tokenRegistry(), 4)
 	ix := Build(c, b)
 	key := "tokensregex:best way to"
-	p := map[int]bool{0: true}
+	p := bitset.FromSorted([]int{0})
 	cov := ix.Coverage(key)
 	if len(cov) != 3 {
 		t.Fatalf("coverage of 'best way to' = %v, want 3 sentences", cov)
 	}
-	if got := ix.CoverageOverlap(key, p); got != 1 {
+	if got := ix.OverlapBits(key, p); got != 1 {
 		t.Errorf("overlap = %d", got)
 	}
-	if got := ix.NewCoverage(key, p); got != 2 {
+	if got := ix.NewCoverageBits(key, p); got != 2 {
 		t.Errorf("new coverage = %d", got)
 	}
-	if ix.CoverageOverlap("missing", p) != 0 || ix.NewCoverage("missing", p) != 0 {
+	if ix.OverlapBits("missing", p) != 0 || ix.NewCoverageBits("missing", p) != 0 {
 		t.Error("missing key should have zero overlap")
 	}
+}
+
+// mapCounts is the map-based reference for OverlapBits/NewCoverageBits:
+// |C_r ∩ P| and |C_r \ P| by per-id lookups.
+func mapCounts(ix *Index, key string, p map[int]bool) (overlap, fresh int) {
+	for _, id := range ix.Coverage(key) {
+		if p[id] {
+			overlap++
+		} else {
+			fresh++
+		}
+	}
+	return overlap, fresh
 }
 
 func TestEnsureHeuristic(t *testing.T) {
@@ -286,60 +299,33 @@ func TestEnsureHeuristic(t *testing.T) {
 	}
 }
 
-func TestInsertSortedProperty(t *testing.T) {
-	f := func(ids []uint8) bool {
-		var xs []int
-		for _, id := range ids {
-			xs = insertSorted(xs, int(id))
-		}
-		if !sort.IntsAreSorted(xs) {
-			return false
-		}
-		for i := 1; i < len(xs); i++ {
-			if xs[i] == xs[i-1] {
-				return false
-			}
-		}
-		return true
+// TestMergeKeepsAdhocNodes pins that Merge carries the ad-hoc flag: a seed
+// rule materialized by EnsureHeuristic in a merged-in index must still be
+// probed by AddSentence, or its coverage would stop growing on ingest.
+func TestMergeKeepsAdhocNodes(t *testing.T) {
+	c := paperCorpus()
+	b := sketch.NewBuilder(tokenRegistry(), 2)
+	h, err := tokensregex.New().Parse("best way to get")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
+	other := Build(c, b)
+	other.EnsureHeuristic(h, c)
+	other.BuildEdges()
 
-func TestMergeSortedProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 100; trial++ {
-		a := randomSorted(rng, 20)
-		b := randomSorted(rng, 20)
-		m := mergeSorted(a, b)
-		if !sort.IntsAreSorted(m) {
-			t.Fatalf("merge not sorted: %v", m)
-		}
-		want := map[int]bool{}
-		for _, x := range a {
-			want[x] = true
-		}
-		for _, x := range b {
-			want[x] = true
-		}
-		if len(m) != len(want) {
-			t.Fatalf("merge wrong size: %v from %v and %v", m, a, b)
-		}
+	ix := New()
+	ix.Merge(other)
+	ix.BuildEdges()
+	if got := ix.Count(h.Key()); got != 1 {
+		t.Fatalf("merged seed-rule count = %d, want 1", got)
 	}
-}
-
-func randomSorted(rng *rand.Rand, n int) []int {
-	set := map[int]bool{}
-	for i := 0; i < n; i++ {
-		set[rng.Intn(50)] = true
+	s := c.Add("the best way to get downtown", corpus.Negative)
+	c.PreprocessFrom(s.ID, corpus.PreprocessOptions{Parse: true})
+	ix.AddSentence(b.Build(s), s)
+	ix.BuildEdges()
+	if got, want := ix.Node(h.Key()).Bits().AppendTo(nil), []int{0, s.ID}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed-rule coverage after ingest = %v, want %v", got, want)
 	}
-	out := make([]int, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func TestEmptyIndex(t *testing.T) {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,12 +89,13 @@ func TestConcurrentReadsAfterPublish(t *testing.T) {
 				ix.Parents(key)
 				ix.Coverage(key)
 				ix.Bits(key)
-				if got, want := ix.OverlapBits(key, pos), ix.CoverageOverlap(key, posMap); got != want {
-					t.Errorf("OverlapBits(%q) = %d, map path %d", key, got, want)
+				overlap, fresh := mapCounts(ix, key, posMap)
+				if got := ix.OverlapBits(key, pos); got != overlap {
+					t.Errorf("OverlapBits(%q) = %d, map path %d", key, got, overlap)
 					return
 				}
-				if got, want := ix.NewCoverageBits(key, pos), ix.NewCoverage(key, posMap); got != want {
-					t.Errorf("NewCoverageBits(%q) = %d, map path %d", key, got, want)
+				if got := ix.NewCoverageBits(key, pos); got != fresh {
+					t.Errorf("NewCoverageBits(%q) = %d, map path %d", key, got, fresh)
 					return
 				}
 			}
@@ -102,36 +104,34 @@ func TestConcurrentReadsAfterPublish(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNodeBitsMatchPostings checks that every published node's bitset is an
-// exact mirror of its sorted posting list.
+// TestNodeBitsMatchPostings checks that every node's published set holds
+// exactly its stored coverage under both kernels, and that EnsureHeuristic
+// publishes at once.
 func TestNodeBitsMatchPostings(t *testing.T) {
 	c := paperCorpus()
 	b := sketch.NewBuilder(fullRegistry(), 4)
 	ix := Build(c, b)
-	for _, key := range ix.Keys() {
-		n := ix.Node(key)
-		bits := n.Bits()
-		if n.Count() == 0 {
-			continue
-		}
-		if bits == nil {
-			t.Fatalf("node %s has no bits after publish", key)
-		}
-		if bits.Count() != n.Count() {
-			t.Fatalf("node %s: bits count %d != postings %d", key, bits.Count(), n.Count())
-		}
-		for _, id := range n.Postings {
-			if !bits.Contains(id) {
-				t.Fatalf("node %s: posting %d missing from bits", key, id)
+	for _, kernel := range []string{KernelAdaptive, KernelDense} {
+		ix.SetKernel(kernel)
+		for _, key := range ix.Keys() {
+			n := ix.Node(key)
+			bits := n.Bits()
+			if bits == nil {
+				t.Fatalf("%s: node %s has no bits after publish", kernel, key)
+			}
+			if got, want := bitset.IDs(bits), ix.Coverage(key); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: node %s: bits %v, coverage %v", kernel, key, got, want)
+			}
+			if bits.Count() != n.Count() {
+				t.Fatalf("%s: node %s: bits count %d != coverage %d", kernel, key, bits.Count(), n.Count())
 			}
 		}
 	}
-	// EnsureHeuristic materializes bits immediately.
 	g := tokenRegistry()
 	h, _ := g.Parse("best way to get to sfo")
 	n := ix.EnsureHeuristic(h, c)
-	if n.Count() > 0 && n.Bits() == nil {
-		t.Fatal("EnsureHeuristic node has no bits")
+	if n.Count() == 0 || n.Bits() == nil {
+		t.Fatalf("EnsureHeuristic node: count %d, bits %v", n.Count(), n.Bits())
 	}
 	ix.BuildEdges()
 }

@@ -3,22 +3,24 @@ package traversal
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // benchFixture builds a synthetic coverage/positives/scores triple shaped
 // like the interactive workload: a corpus of n sentences, a rule covering
 // covFrac of them, and a positive set of posFrac of them.
-func benchFixture(n int, covFrac, posFrac float64, seed int64) (cov []int, pos map[int]bool, scores []float64) {
+func benchFixture(n int, covFrac, posFrac float64, seed int64) (cov *bitset.Adaptive, pos bitset.Set, scores []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	scores = make([]float64, n)
-	pos = make(map[int]bool)
+	cov, pos = bitset.NewAdaptive(), bitset.New(n)
 	for i := 0; i < n; i++ {
 		scores[i] = rng.Float64()
 		if rng.Float64() < covFrac {
-			cov = append(cov, i)
+			cov.Add(i)
 		}
 		if rng.Float64() < posFrac {
-			pos[i] = true
+			pos.Add(i)
 		}
 	}
 	return cov, pos, scores

@@ -38,21 +38,22 @@ func equivFixture(t *testing.T) (*index.Index, *corpus.Corpus) {
 	return ix, c
 }
 
-// stripBits rebuilds a hierarchy with the same nodes but no coverage bitsets
-// (Add never sets Bits), forcing hierarchy-node scoring down the
-// posting-list + map reference path.
-func stripBits(h *hierarchy.Hierarchy, ix *index.Index) *hierarchy.Hierarchy {
+// denseBits rebuilds a hierarchy with the same nodes carrying dense mirrors
+// of their coverage instead of the index's adaptive sets, so scoring runs
+// on the dense reference kernel.
+func denseBits(h *hierarchy.Hierarchy, ix *index.Index) *hierarchy.Hierarchy {
 	rebuilt := hierarchy.BuildBits(ix, nil, nil, hierarchy.Config{})
 	for _, key := range h.Keys() {
 		n := h.Node(key)
-		rebuilt.Add(n.Heuristic, n.Coverage)
+		rebuilt.Add(n.Heuristic, n.Bits.OrInto(nil))
 	}
 	rebuilt.LinkEdges(ix)
 	return rebuilt
 }
 
-// TestBenefitBitsMatchesReference cross-checks the kernel against the
-// posting-list scan on random sets, including bit-identical float sums.
+// TestBenefitBitsMatchesReference cross-checks the adaptive and dense
+// kernels against an ascending map scan on random sets, including
+// bit-identical float sums.
 func TestBenefitBitsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -69,29 +70,33 @@ func TestBenefitBitsMatchesReference(t *testing.T) {
 				pos[i] = true
 			}
 		}
-		covBits := bitset.FromSorted(cov)
-		posBits := bitset.FromMap(pos)
-		want := Benefit(cov, pos, scores)
-		got := BenefitBits(covBits, posBits, scores)
-		if got != want {
-			t.Fatalf("trial %d: BenefitBits = %v, Benefit = %v", trial, got, want)
+		want, newCov := 0.0, 0
+		for _, id := range cov {
+			if !pos[id] {
+				want += scores[id]
+				newCov++
+			}
 		}
-		wantAvg := AvgBenefit(cov, pos, scores)
-		sum, newCov := bitset.AndNotSum(covBits, posBits, scores)
-		gotAvg := 0.0
+		wantAvg := 0.0
 		if newCov > 0 {
-			gotAvg = sum / float64(newCov)
+			wantAvg = want / float64(newCov)
 		}
-		if gotAvg != wantAvg {
-			t.Fatalf("trial %d: avg benefit %v != %v", trial, gotAvg, wantAvg)
+		posBits := bitset.FromMap(pos)
+		for _, covBits := range []bitset.Cover{bitset.AdaptiveFromSorted(cov), bitset.FromSorted(cov)} {
+			if got := Benefit(covBits, posBits, scores); got != want {
+				t.Fatalf("trial %d: %T Benefit = %v, reference %v", trial, covBits, got, want)
+			}
+			if got := AvgBenefit(covBits, posBits, scores); got != wantAvg {
+				t.Fatalf("trial %d: %T AvgBenefit = %v, reference %v", trial, covBits, got, wantAvg)
+			}
 		}
 	}
 }
 
 // TestTraversalsIdenticalWithAndWithoutBits drives each strategy over two
-// states — one with coverage bitsets (kernel path) and one without (reference
-// path) — with identical scripted feedback, and requires identical proposal
-// sequences.
+// states — one scoring the index's adaptive sets, one scoring dense mirrors
+// (the reference kernel) — with identical scripted feedback, and requires
+// identical proposal sequences.
 func TestTraversalsIdenticalWithAndWithoutBits(t *testing.T) {
 	ix, c := equivFixture(t)
 	cfg := hierarchy.Config{NumCandidates: 400, MaxRuleDepth: 6, MinCoverage: 2, Cleanup: true}
@@ -112,14 +117,14 @@ func TestTraversalsIdenticalWithAndWithoutBits(t *testing.T) {
 
 	for _, name := range []string{"local", "universal", "hybrid"} {
 		hBits := hierarchy.GenerateBits(ix, posBits, cfg)
-		hRef := stripBits(hBits, ix)
+		hRef := denseBits(hBits, ix)
 
 		stBits := &State{Hierarchy: hBits, Index: ix, Positives: positives, PosBits: posBits, Scores: scores, Queried: map[string]bool{seed: true}}
-		stRef := &State{Hierarchy: hRef, Positives: positives, Scores: scores, Queried: map[string]bool{seed: true}}
 		// The reference state needs the index for neighborhood fallbacks, but
-		// its hierarchy nodes carry no bits, so scoring stays on the
-		// reference path (bitsOf prefers hierarchy nodes).
-		stRef.Index = ix
+		// its hierarchy nodes carry dense mirrors, so scoring stays on the
+		// dense kernel (coverOf prefers hierarchy nodes) and the positive set
+		// is rebuilt from the map.
+		stRef := &State{Hierarchy: hRef, Index: ix, Positives: positives, Scores: scores, Queried: map[string]bool{seed: true}}
 
 		tb := New(name, 3, seed)
 		tr := New(name, 3, seed)
@@ -130,7 +135,7 @@ func TestTraversalsIdenticalWithAndWithoutBits(t *testing.T) {
 			kb, okb := tb.Next(stBits)
 			kr, okr := tr.Next(stRef)
 			if okb != okr || kb != kr {
-				t.Fatalf("%s step %d: bits path proposed (%q,%v), reference (%q,%v)", name, step, kb, okb, kr, okr)
+				t.Fatalf("%s step %d: adaptive kernel proposed (%q,%v), dense (%q,%v)", name, step, kb, okb, kr, okr)
 			}
 			if !okb {
 				break

@@ -46,7 +46,7 @@ func (ls *LocalSearch) Next(st *State) (string, bool) {
 	// adjacent rule even if it adds nothing, so feedback keeps expanding the
 	// neighborhood (mirrors Algorithm 3, which never filters by gain).
 	for _, key := range keys {
-		if !st.Queried[key] && key != grammar.RootKey && len(st.coverageOf(key)) > 0 {
+		if !st.Queried[key] && key != grammar.RootKey && st.countOf(key) > 0 {
 			return key, true
 		}
 	}
@@ -76,16 +76,16 @@ func (ls *LocalSearch) bestByOverlap(st *State) (string, bool) {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov := st.coverageOf(key)
-		if len(cov) == 0 {
+		total := st.countOf(key)
+		if total == 0 {
 			continue
 		}
-		b, newCov := st.benefitNew(key, cov)
-		overlap := len(cov) - newCov
+		b, newCov := st.BenefitNewOf(key)
+		overlap := total - newCov
 		if newCov == 0 || overlap == 0 {
 			continue
 		}
-		ratio := float64(overlap) / float64(len(cov))
+		ratio := float64(overlap) / float64(total)
 		if ratio > bestRatio ||
 			(ratio == bestRatio && overlap > bestOverlap) ||
 			(ratio == bestRatio && overlap == bestOverlap && b > bestBenefit) {

@@ -7,11 +7,9 @@
 //
 // where p_s is the classifier's probability that sentence s is positive.
 //
-// Scoring runs on the dense bitset coverage kernel when the state carries a
-// bitset positive set and the rule's coverage bits are materialized (the
-// session hot path); the posting-list + map implementations remain as the
-// reference path and are bit-identical, since both accumulate scores in
-// ascending sentence-ID order.
+// Scoring runs on each rule's coverage set (hierarchy node or index) against
+// the bitset positive set; every kernel accumulates scores in ascending
+// sentence-ID order, so the sums are bit-identical across representations.
 package traversal
 
 import (
@@ -45,24 +43,12 @@ type State struct {
 	posBitsN     int
 }
 
-// coverageOf returns the coverage of a rule key, preferring the hierarchy
+// coverOf returns the coverage set of a rule key, preferring the hierarchy
 // node (which is guaranteed present for hierarchy-generated candidates) and
-// falling back to the index.
-func (st *State) coverageOf(key string) []int {
+// falling back to the index's published set; nil when the key is unknown.
+func (st *State) coverOf(key string) bitset.Cover {
 	if n := st.Hierarchy.Node(key); n != nil {
-		return n.Coverage
-	}
-	return st.Index.Coverage(key)
-}
-
-// bitsOf returns the coverage set of a rule key (hierarchy first, then
-// index), or nil when not materialized.
-func (st *State) bitsOf(key string) bitset.Cover {
-	if n := st.Hierarchy.Node(key); n != nil {
-		if n.Bits != nil {
-			return n.Bits
-		}
-		return nil
+		return n.Bits
 	}
 	if st.Index != nil {
 		return st.Index.Bits(key)
@@ -73,7 +59,7 @@ func (st *State) bitsOf(key string) bitset.Cover {
 // posBits returns the bitset positive set, building (and caching) it from
 // the map on first use. A lazily built set is rebuilt when the map's size
 // changed since, so hand-built states that grow Positives between scoring
-// calls stay consistent across both scoring paths.
+// calls stay consistent with the map.
 func (st *State) posBits() bitset.Set {
 	if st.PosBits == nil && !st.posBitsBuilt || st.posBitsBuilt && st.posBitsN != len(st.Positives) {
 		st.posBitsBuilt = true
@@ -83,84 +69,54 @@ func (st *State) posBits() bitset.Set {
 	return st.PosBits
 }
 
-// Benefit computes Σ_{s ∈ cov \ P} p_s over a sorted posting list and a map
-// positive set (the reference path; see BenefitBits for the kernel).
-func Benefit(cov []int, positives map[int]bool, scores []float64) float64 {
-	var b float64
-	for _, id := range cov {
-		if positives[id] {
-			continue
-		}
-		if id >= 0 && id < len(scores) {
-			b += scores[id]
-		}
-	}
-	return b
+// Benefit computes Σ_{s ∈ cov \ P} p_s, accumulating in ascending
+// sentence-ID order. Ids beyond len(scores) contribute nothing.
+func Benefit(cov bitset.Cover, positives bitset.Set, scores []float64) float64 {
+	sum, _ := cov.AndNotSum(positives, scores)
+	return sum
 }
 
 // AvgBenefit computes the benefit per (new) instance: Benefit / |cov \ P|.
 // Rules whose coverage is already fully contained in P have average benefit 0.
-func AvgBenefit(cov []int, positives map[int]bool, scores []float64) float64 {
-	newCount := 0
-	for _, id := range cov {
-		if !positives[id] {
-			newCount++
-		}
-	}
-	if newCount == 0 {
+func AvgBenefit(cov bitset.Cover, positives bitset.Set, scores []float64) float64 {
+	sum, newCov := cov.AndNotSum(positives, scores)
+	if newCov == 0 {
 		return 0
 	}
-	return Benefit(cov, positives, scores) / float64(newCount)
-}
-
-// BenefitBits computes Σ_{s ∈ cov \ P} p_s with the word-wise kernel. It is
-// bit-identical to Benefit on the same sets: both accumulate in ascending
-// sentence-ID order.
-func BenefitBits(cov, positives bitset.Set, scores []float64) float64 {
-	sum, _ := bitset.AndNotSum(cov, positives, scores)
-	return sum
-}
-
-// benefitNew returns (benefit, |cov \ P|) in one pass, using the bitset
-// kernel when both the rule's coverage bits and the positive bits are
-// available and the reference scan otherwise.
-func (st *State) benefitNew(key string, cov []int) (float64, int) {
-	if covBits := st.bitsOf(key); covBits != nil {
-		return covBits.AndNotSum(st.posBits(), st.Scores)
-	}
-	var b float64
-	newCov := 0
-	for _, id := range cov {
-		if st.Positives[id] {
-			continue
-		}
-		newCov++
-		if id >= 0 && id < len(st.Scores) {
-			b += st.Scores[id]
-		}
-	}
-	return b, newCov
+	return sum / float64(newCov)
 }
 
 // BenefitOf scores a rule key against the state.
 func (st *State) BenefitOf(key string) float64 {
-	b, _ := st.benefitNew(key, st.coverageOf(key))
+	b, _ := st.BenefitNewOf(key)
 	return b
 }
 
 // BenefitNewOf returns (benefit, |cov \ P|) for a rule key in one kernel
-// pass.
+// pass; (0, 0) for an unknown key.
 func (st *State) BenefitNewOf(key string) (float64, int) {
-	return st.benefitNew(key, st.coverageOf(key))
+	cov := st.coverOf(key)
+	if cov == nil {
+		return 0, 0
+	}
+	return cov.AndNotSum(st.posBits(), st.Scores)
 }
 
 // AvgBenefitOf returns the per-instance benefit of a rule key.
 func (st *State) AvgBenefitOf(key string) float64 {
-	b, newCov := st.benefitNew(key, st.coverageOf(key))
+	b, newCov := st.BenefitNewOf(key)
 	if newCov == 0 {
 		return 0
 	}
 	return b / float64(newCov)
+}
+
+// countOf returns |C_r| for a rule key (0 when unknown).
+func (st *State) countOf(key string) int {
+	if cov := st.coverOf(key); cov != nil {
+		return cov.Count()
+	}
+	return 0
 }
 
 // Traversal selects the next candidate heuristic to submit to the oracle.
@@ -190,11 +146,10 @@ func pickBest(st *State, keys []string, requireAvgBenefit float64) (string, bool
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov := st.coverageOf(key)
-		if len(cov) == 0 {
+		if st.countOf(key) == 0 {
 			continue
 		}
-		b, newCov := st.benefitNew(key, cov)
+		b, newCov := st.BenefitNewOf(key)
 		if requireAvgBenefit > 0 {
 			avg := 0.0
 			if newCov > 0 {

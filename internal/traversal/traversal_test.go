@@ -3,6 +3,7 @@ package traversal
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/hierarchy"
@@ -67,8 +68,8 @@ func buildState(t *testing.T, positives map[int]bool) (*corpus.Corpus, *State) {
 
 func TestBenefitAndAvgBenefit(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.1, 0.5}
-	pos := map[int]bool{0: true}
-	cov := []int{0, 1, 2}
+	pos := bitset.FromSorted([]int{0})
+	cov := bitset.AdaptiveFromSorted([]int{0, 1, 2})
 	if got := Benefit(cov, pos, scores); got != 0.9 {
 		t.Errorf("Benefit = %f, want 0.9 (0.8+0.1)", got)
 	}
@@ -76,11 +77,11 @@ func TestBenefitAndAvgBenefit(t *testing.T) {
 		t.Errorf("AvgBenefit = %f, want 0.45", got)
 	}
 	// Fully covered rule has zero average benefit.
-	if got := AvgBenefit([]int{0}, pos, scores); got != 0 {
+	if got := AvgBenefit(bitset.AdaptiveFromSorted([]int{0}), pos, scores); got != 0 {
 		t.Errorf("AvgBenefit of covered rule = %f", got)
 	}
 	// Out-of-range IDs contribute nothing.
-	if got := Benefit([]int{99}, pos, scores); got != 0 {
+	if got := Benefit(bitset.AdaptiveFromSorted([]int{99}), pos, scores); got != 0 {
 		t.Errorf("Benefit with dangling ID = %f", got)
 	}
 }
@@ -150,7 +151,7 @@ func TestLocalSearchExploresNeighborhood(t *testing.T) {
 	// the best overlap with P rather than stalling.
 	if key, ok := ls.Next(st); !ok {
 		t.Fatal("Next should bootstrap from the hierarchy when the frontier is exhausted")
-	} else if st.Index.CoverageOverlap(key, st.Positives) == 0 {
+	} else if st.Index.OverlapBits(key, bitset.FromMap(st.Positives)) == 0 {
 		t.Errorf("bootstrap pick %q has no overlap with P", key)
 	}
 	ls.Reseed(st, seed)

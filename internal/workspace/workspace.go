@@ -42,7 +42,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/oracle"
-	"repro/internal/traversal"
 )
 
 // Workspace telemetry: every applied (journaled) event is counted by type,
@@ -542,7 +541,7 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 			return
 		}
 		n := ws.hier.Node(key)
-		cov = n.Coverage
+		cov = bitset.IDs(n.Bits)
 		avg := 0.0
 		if newCov > 0 {
 			avg = benefit / float64(newCov)
@@ -589,19 +588,7 @@ func (ws *Workspace) pickLocked() (string, float64, int) {
 		if ws.queried[key] {
 			continue
 		}
-		n := ws.hier.Node(key)
-		var benefit float64
-		var newCov int
-		if n.Bits != nil {
-			benefit, newCov = n.Bits.AndNotSum(ws.posBits, ws.scores)
-		} else {
-			benefit = traversal.Benefit(n.Coverage, ws.positives, ws.scores)
-			for _, id := range n.Coverage {
-				if !ws.positives[id] {
-					newCov++
-				}
-			}
-		}
+		benefit, newCov := ws.hier.Node(key).Bits.AndNotSum(ws.posBits, ws.scores)
 		if newCov == 0 {
 			continue
 		}
@@ -654,7 +641,7 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 		Annotator: name,
 	}
 	if accept {
-		rec.CoverageIDs = append([]int(nil), cov...)
+		rec.CoverageIDs = cov
 		rec.AddedIDs = ws.addPositives(cov)
 		ws.accepted = append(ws.accepted, rec)
 		ws.retrain()
