@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -102,38 +101,54 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	defer proc1.Process.Kill()
 
 	// Create a workspace with two annotators and answer >= 20 steps.
-	var created struct {
-		ID string `json:"id"`
+	type labeler struct {
+		ID        string `json:"id"`
+		Workspace string `json:"workspace"`
+		Annotator string `json:"annotator"`
 	}
-	if status := do(addr, "POST", "/v1/workspaces", map[string]any{
+	var alice, bob labeler
+	if status := do(addr, "POST", "/v2/labelers", map[string]any{
 		"dataset":    "directions",
+		"mode":       "workspace",
+		"annotator":  "alice",
 		"seed_rules": []string{"best way to get to"},
 		"budget":     60,
 		"seed":       3,
-	}, &created); status != http.StatusCreated {
+	}, &alice); status != http.StatusCreated {
 		t.Fatalf("create workspace: status %d", status)
 	}
-	base := "/v1/workspaces/" + created.ID
-	for _, name := range []string{"alice", "bob"} {
-		if status := do(addr, "POST", base+"/annotators", map[string]string{"annotator": name}, nil); status != http.StatusCreated {
-			t.Fatalf("attach %s: status %d", name, status)
+	if status := do(addr, "POST", "/v2/labelers", map[string]any{
+		"mode": "workspace", "workspace": alice.Workspace, "annotator": "bob",
+	}, &bob); status != http.StatusCreated {
+		t.Fatalf("attach bob: status %d", status)
+	}
+	labs := []labeler{alice, bob}
+	// suggest returns the labeler's pending key, or done once the shared
+	// budget is spent (the budget_exhausted conflict).
+	suggest := func(addr string, lab labeler) (key string, done bool) {
+		t.Helper()
+		var sug struct {
+			Key  string `json:"key"`
+			Code string `json:"code"`
 		}
+		status := do(addr, "GET", "/v2/labelers/"+lab.ID+"/suggestion", nil, &sug)
+		if status == http.StatusConflict && sug.Code == "budget_exhausted" {
+			return "", true
+		}
+		if status != http.StatusOK {
+			t.Fatalf("suggest for %s: status %d", lab.Annotator, status)
+		}
+		return sug.Key, false
 	}
 	answered := 0
 	for q := 0; answered < 24; q++ {
-		name := []string{"alice", "bob"}[q%2]
-		var sug struct {
-			Done bool   `json:"done"`
-			Key  string `json:"key"`
-		}
-		if status := do(addr, "GET", base+"/suggest?annotator="+name, nil, &sug); status != http.StatusOK {
-			t.Fatalf("suggest: status %d", status)
-		}
-		if sug.Done {
+		lab := labs[q%2]
+		key, done := suggest(addr, lab)
+		if done {
 			break
 		}
-		if status := do(addr, "POST", base+"/answer", map[string]any{
-			"annotator": name, "key": sug.Key, "accept": q%3 == 0,
+		if status := do(addr, "POST", "/v2/labelers/"+lab.ID+"/answers", map[string]any{
+			"answers": []map[string]any{{"key": key, "accept": q%3 == 0}},
 		}, nil); status != http.StatusOK {
 			t.Fatalf("answer: status %d", status)
 		}
@@ -143,10 +158,19 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("only answered %d steps before candidates ran dry", answered)
 	}
 
-	var before any
-	if status := do(addr, "GET", base+"/report", nil, &before); status != http.StatusOK {
-		t.Fatalf("report: status %d", status)
+	// snapshot reads the shared report and both labelers' statuses.
+	snapshot := func(addr string) []any {
+		t.Helper()
+		paths := []string{"/v2/labelers/" + alice.ID + "/report", "/v2/labelers/" + alice.ID, "/v2/labelers/" + bob.ID}
+		out := make([]any, len(paths))
+		for i, path := range paths {
+			if status := do(addr, "GET", path, nil, &out[i]); status != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, status)
+			}
+		}
+		return out
 	}
+	before := snapshot(addr)
 
 	// Kill -9: no flush hook, no graceful shutdown. Every acknowledged
 	// answer must already be in the kernel's page cache for the journal.
@@ -164,27 +188,17 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		proc2.Wait()
 	}()
 
-	var after any
-	if status := do(addr2, "GET", base+"/report", nil, &after); status != http.StatusOK {
-		t.Fatalf("report after restart: status %d", status)
-	}
+	after := snapshot(addr2)
 	if !reflect.DeepEqual(before, after) {
 		b1, _ := json.MarshalIndent(before, "", " ")
 		b2, _ := json.MarshalIndent(after, "", " ")
-		t.Fatalf("report changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
+		t.Fatalf("report or labeler status changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
 	}
 
 	// The recovered workspace keeps serving: both annotators can step on.
-	for _, name := range []string{"alice", "bob"} {
-		var sug struct {
-			Done bool   `json:"done"`
-			Key  string `json:"key"`
-		}
-		if status := do(addr2, "GET", fmt.Sprintf("%s/suggest?annotator=%s", base, name), nil, &sug); status != http.StatusOK {
-			t.Fatalf("post-recovery suggest for %s: status %d", name, status)
-		}
-		if !sug.Done && sug.Key == "" {
-			t.Fatalf("post-recovery suggestion for %s is empty", name)
+	for _, lab := range labs {
+		if key, done := suggest(addr2, lab); !done && key == "" {
+			t.Fatalf("post-recovery suggestion for %s is empty", lab.Annotator)
 		}
 	}
 }

@@ -122,42 +122,61 @@ func TestIngestCrashRecoverySIGKILL(t *testing.T) {
 
 	// Annotation before the storm: a workspace whose acknowledged answers
 	// must survive the crash byte-for-byte.
-	var created struct {
+	var alice struct {
 		ID string `json:"id"`
 	}
-	if status := do(addr, "POST", "/v1/workspaces", map[string]any{
+	if status := do(addr, "POST", "/v2/labelers", map[string]any{
 		"dataset":    "directions",
+		"mode":       "workspace",
+		"annotator":  "alice",
 		"seed_rules": []string{"best way to get to"},
 		"budget":     40,
 		"seed":       3,
-	}, &created); status != http.StatusCreated {
+	}, &alice); status != http.StatusCreated {
 		t.Fatalf("create workspace: status %d", status)
 	}
-	base := "/v1/workspaces/" + created.ID
-	if status := do(addr, "POST", base+"/annotators", map[string]string{"annotator": "alice"}, nil); status != http.StatusCreated {
-		t.Fatalf("attach alice: status %d", status)
-	}
-	for q := 0; q < 8; q++ {
+	base := "/v2/labelers/" + alice.ID
+	// suggest returns alice's pending key, or done once the budget is spent
+	// (the budget_exhausted conflict).
+	suggest := func(addr string) (key string, done bool) {
+		t.Helper()
 		var sug struct {
-			Done bool   `json:"done"`
 			Key  string `json:"key"`
+			Code string `json:"code"`
 		}
-		if status := do(addr, "GET", base+"/suggest?annotator=alice", nil, &sug); status != http.StatusOK {
+		status := do(addr, "GET", base+"/suggestion", nil, &sug)
+		if status == http.StatusConflict && sug.Code == "budget_exhausted" {
+			return "", true
+		}
+		if status != http.StatusOK {
 			t.Fatalf("suggest: status %d", status)
 		}
-		if sug.Done {
+		return sug.Key, false
+	}
+	for q := 0; q < 8; q++ {
+		key, done := suggest(addr)
+		if done {
 			break
 		}
-		if status := do(addr, "POST", base+"/answer", map[string]any{
-			"annotator": "alice", "key": sug.Key, "accept": q%3 == 0,
+		if status := do(addr, "POST", base+"/answers", map[string]any{
+			"answers": []map[string]any{{"key": key, "accept": q%3 == 0}},
 		}, nil); status != http.StatusOK {
 			t.Fatalf("answer: status %d", status)
 		}
 	}
-	var before any
-	if status := do(addr, "GET", base+"/report", nil, &before); status != http.StatusOK {
-		t.Fatalf("report: status %d", status)
+	// snapshot reads the workspace report and alice's labeler status.
+	snapshot := func(addr string) []any {
+		t.Helper()
+		paths := []string{base + "/report", base}
+		out := make([]any, len(paths))
+		for i, path := range paths {
+			if status := do(addr, "GET", path, nil, &out[i]); status != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, status)
+			}
+		}
+		return out
 	}
+	before := snapshot(addr)
 
 	// First batch pins the boot corpus length.
 	first, ok := ingest(addr, "warmup")
@@ -211,24 +230,14 @@ func TestIngestCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	// Acknowledged answers from before the storm survive byte-for-byte.
-	var after any
-	if status := do(addr2, "GET", base+"/report", nil, &after); status != http.StatusOK {
-		t.Fatalf("report after restart: status %d", status)
-	}
+	after := snapshot(addr2)
 	if !reflect.DeepEqual(before, after) {
 		b1, _ := json.MarshalIndent(before, "", " ")
 		b2, _ := json.MarshalIndent(after, "", " ")
-		t.Fatalf("report changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
+		t.Fatalf("report or labeler status changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
 	}
 	// And the workspace keeps serving over the recovered, grown corpus.
-	var sug struct {
-		Done bool   `json:"done"`
-		Key  string `json:"key"`
-	}
-	if status := do(addr2, "GET", base+"/suggest?annotator=alice", nil, &sug); status != http.StatusOK {
-		t.Fatalf("post-recovery suggest: status %d", status)
-	}
-	if !sug.Done && sug.Key == "" {
+	if key, done := suggest(addr2); !done && key == "" {
 		t.Fatal("post-recovery suggestion is empty")
 	}
 }

@@ -4,9 +4,9 @@
 // engine per dataset once at startup, and then hosts any number of
 // interactive labelers against them. The canonical surface is the versioned
 // /v2 API (one labeler resource for solo sessions and workspace
-// attachments alike — see internal/server and api/openapi.yaml); the /v1
-// endpoints remain as thin adapters. Go programs should use the pkg/darwin
-// SDK (darwin.NewClient) rather than raw HTTP.
+// attachments alike — see internal/server and api/openapi.yaml). Go
+// programs should use the pkg/darwin SDK (darwin.NewClient) rather than raw
+// HTTP.
 //
 // Examples:
 //
@@ -75,7 +75,7 @@ func main() {
 		attachTTL  = flag.Duration("attachment-ttl", 0, "detach workspace annotators idle longer than this, journaled (0 disables; the workspace itself lives until -workspace-ttl)")
 		replSync   = flag.Bool("repl-sync", true, "when this shard streams its journal to a replication follower, gate answer acknowledgements on the follower's ack (degrades to async if the follower is down)")
 		replSyncTO = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronously replicated append waits for the follower before degrading to async")
-		token      = flag.String("token", "", "require 'Authorization: Bearer <token>' on /v1/* endpoints")
+		token      = flag.String("token", "", "require 'Authorization: Bearer <token>' on /v2/* endpoints")
 		rateLimit  = flag.Float64("rate-limit", 0, "per-IP request rate limit in requests/second (0 disables)")
 		rateBurst  = flag.Int("rate-burst", 0, "per-IP burst size (default 2x -rate-limit)")
 		featCap    = flag.Int("feature-cache-cap", 0, "cap the per-engine sparse feature cache to this many sentences (0 caches the whole corpus; ~0.5 KB/entry)")

@@ -94,12 +94,6 @@ type Session struct {
 	hierIxVer uint64
 	hierGens  int
 
-	// Step-latency tracking for the serving layer: duration of each Next
-	// that did real work (not a pending replay).
-	lastStep  time.Duration
-	stepTotal time.Duration
-	stepCount int
-
 	pending *pendingSuggestion
 	done    bool
 }
@@ -285,11 +279,7 @@ func (s *Session) Next() (Suggestion, bool) {
 	stepStart := time.Now()
 	defer func() {
 		//darwin:replaypure-exempt step-latency metric only; never enters session state
-		d := time.Since(stepStart)
-		s.lastStep = d
-		s.stepTotal += d
-		s.stepCount++
-		nextDurations.Observe(d.Seconds())
+		nextDurations.Observe(time.Since(stepStart).Seconds())
 	}()
 	e := s.e
 	e.ixMu.RLock()
@@ -425,15 +415,6 @@ func (s *Session) addPositives(cov []int) []int {
 // candidate hierarchy. With incremental reuse this equals one per
 // positive-set change (plus one per shared-index growth), not one per Next.
 func (s *Session) HierarchyGenerations() int { return s.hierGens }
-
-// StepLatency returns the duration of the last Next that did real work and
-// the average across all of them (zero before the first step).
-func (s *Session) StepLatency() (last, avg time.Duration) {
-	if s.stepCount > 0 {
-		avg = s.stepTotal / time.Duration(s.stepCount)
-	}
-	return s.lastStep, avg
-}
 
 // Done reports whether the session is over: the budget is spent or the
 // traversal ran out of candidates.

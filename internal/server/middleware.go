@@ -37,22 +37,11 @@ func Middleware(token string, ratePerSec float64, rateBurst int, next http.Handl
 	return h
 }
 
-// middlewareError writes an error in the shape the request's API version
-// expects: the typed /v2 envelope on /v2/* paths, the legacy {"error": msg}
-// object elsewhere.
-func middlewareError(w http.ResponseWriter, r *http.Request, err error) {
-	if strings.HasPrefix(r.URL.Path, "/v2/") {
-		writeV2Error(w, err)
-		return
-	}
-	writeError(w, darwin.HTTPStatus(err), "%s", darwin.Envelope(err).Message)
-}
-
-// requireBearer enforces "Authorization: Bearer <token>" on /v1/* and /v2/*
-// paths with a constant-time comparison.
+// requireBearer enforces "Authorization: Bearer <token>" on /v2/* paths with
+// a constant-time comparison.
 func requireBearer(token string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") && !strings.HasPrefix(r.URL.Path, "/v2/") {
+		if !strings.HasPrefix(r.URL.Path, "/v2/") {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -61,7 +50,7 @@ func requireBearer(token string, next http.Handler) http.Handler {
 		if !strings.HasPrefix(auth, prefix) ||
 			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(token)) != 1 {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="darwind"`)
-			middlewareError(w, r, fmt.Errorf("%w: missing or invalid bearer token", darwin.ErrUnauthorized))
+			writeV2Error(w, fmt.Errorf("%w: missing or invalid bearer token", darwin.ErrUnauthorized))
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -151,7 +140,7 @@ func (l *ipLimiter) wrap(next http.Handler) http.Handler {
 		}
 		if !l.allow(ip) {
 			w.Header().Set("Retry-After", "1")
-			middlewareError(w, r, fmt.Errorf("%w: rate limit exceeded", darwin.ErrRateLimited))
+			writeV2Error(w, fmt.Errorf("%w: rate limit exceeded", darwin.ErrRateLimited))
 			return
 		}
 		next.ServeHTTP(w, r)

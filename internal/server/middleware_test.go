@@ -32,18 +32,18 @@ func TestBearerTokenAuth(t *testing.T) {
 	if got := get("/healthz", ""); got != http.StatusOK {
 		t.Errorf("healthz without token: status %d", got)
 	}
-	// /v1/* requires the exact token.
-	if got := get("/v1/sessions/x/report", ""); got != http.StatusUnauthorized {
+	// /v2/* requires the exact token.
+	if got := get("/v2/labelers/x/report", ""); got != http.StatusUnauthorized {
 		t.Errorf("missing token: status %d, want 401", got)
 	}
-	if got := get("/v1/sessions/x/report", "wrong"); got != http.StatusUnauthorized {
+	if got := get("/v2/labelers/x/report", "wrong"); got != http.StatusUnauthorized {
 		t.Errorf("wrong token: status %d, want 401", got)
 	}
-	if got := get("/v1/sessions/x/report", "s3cret"); got != http.StatusNotFound {
-		t.Errorf("valid token: status %d, want 404 (unknown session, but authorized)", got)
+	if got := get("/v2/labelers/x/report", "s3cret"); got != http.StatusNotFound {
+		t.Errorf("valid token: status %d, want 404 (unknown labeler, but authorized)", got)
 	}
-	if got := get("/v1/workspaces/x/report", "s3cret"); got != http.StatusNotFound {
-		t.Errorf("valid token on workspaces: status %d, want 404", got)
+	if got := get("/v2/labelers/"+wsLabelerID("x", "alice")+"/report", "s3cret"); got != http.StatusNotFound {
+		t.Errorf("valid token on a workspace labeler: status %d, want 404", got)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/grammar"
 	"repro/internal/tokensregex"
+	"repro/pkg/darwin"
 )
 
 // newTestServer builds a server over one small synthetic "directions"
@@ -85,14 +88,40 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body, out an
 	return resp.StatusCode
 }
 
+// answersResponse is the part of the /v2 batch-answers response body the
+// tests read.
+type answersResponse struct {
+	Records []darwin.RuleRecord `json:"records"`
+	Done    bool                `json:"done"`
+}
+
+// answerOne is the /v2 answers body carrying a single keyed verdict.
+func answerOne(key string, accept bool) map[string]any {
+	return map[string]any{"answers": []darwin.Answer{{Key: key, Accept: accept}}}
+}
+
+// suggestion fetches a labeler's pending suggestion over /v2. done reports
+// the budget_exhausted conflict that ends a run; any other failure status
+// is returned as is, with the envelope it carried.
+func suggestion(t *testing.T, ts *httptest.Server, id string) (sug darwin.Suggestion, done bool, status int) {
+	t.Helper()
+	var body struct {
+		darwin.Suggestion
+		darwin.ErrorEnvelope
+	}
+	status = doJSON(t, ts, http.MethodGet, "/v2/labelers/"+id+"/suggestion", nil, &body)
+	done = status == http.StatusConflict && body.Code == darwin.CodeBudgetExhausted
+	return body.Suggestion, done, status
+}
+
 // playSession drives one full interactive session over HTTP, answering each
 // suggestion by inspecting the shown samples against the corpus gold labels
 // (the way a human annotator judges precision from the examples). It returns
-// the session's final report.
-func playSession(t *testing.T, ts *httptest.Server, c *corpus.Corpus, seedRule string, budget int, seed int64) reportResponse {
+// the labeler id and the session's final report.
+func playSession(t *testing.T, ts *httptest.Server, c *corpus.Corpus, seedRule string, budget int, seed int64) (string, darwin.Report) {
 	t.Helper()
-	var created createResponse
-	status := doJSON(t, ts, http.MethodPost, "/v1/sessions", createRequest{
+	var created darwin.Status
+	status := doJSON(t, ts, http.MethodPost, "/v2/labelers", darwin.CreateOptions{
 		Dataset:   "directions",
 		SeedRules: []string{seedRule},
 		Budget:    budget,
@@ -105,14 +134,14 @@ func playSession(t *testing.T, ts *httptest.Server, c *corpus.Corpus, seedRule s
 		t.Fatalf("bad create response: %+v", created)
 	}
 
-	base := "/v1/sessions/" + created.ID
+	base := "/v2/labelers/" + created.ID
 	for {
-		var sug suggestResponse
-		if status := doJSON(t, ts, http.MethodGet, base+"/suggest", nil, &sug); status != http.StatusOK {
-			t.Fatalf("suggest: status %d", status)
-		}
-		if sug.Done {
+		sug, done, status := suggestion(t, ts, created.ID)
+		if done {
 			break
+		}
+		if status != http.StatusOK {
+			t.Fatalf("suggest: status %d", status)
 		}
 		if sug.Key == "" || sug.Rule == "" || len(sug.Samples) == 0 {
 			t.Fatalf("incomplete suggestion: %+v", sug)
@@ -129,23 +158,23 @@ func playSession(t *testing.T, ts *httptest.Server, c *corpus.Corpus, seedRule s
 			}
 		}
 		accept := float64(pos)/float64(len(sug.Samples)) >= 0.8
-		var ans answerResponse
-		if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Key: sug.Key, Accept: accept}, &ans); status != http.StatusOK {
+		var ans answersResponse
+		if status := doJSON(t, ts, http.MethodPost, base+"/answers", answerOne(sug.Key, accept), &ans); status != http.StatusOK {
 			t.Fatalf("answer: status %d", status)
 		}
-		if ans.Record.Key != sug.Key || ans.Record.Accepted != accept {
-			t.Fatalf("answer echoed wrong record: %+v", ans.Record)
+		if len(ans.Records) != 1 || ans.Records[0].Key != sug.Key || ans.Records[0].Accepted != accept {
+			t.Fatalf("answer echoed wrong records: %+v", ans.Records)
 		}
 		if ans.Done {
 			break
 		}
 	}
 
-	var rep reportResponse
+	var rep darwin.Report
 	if status := doJSON(t, ts, http.MethodGet, base+"/report", nil, &rep); status != http.StatusOK {
 		t.Fatalf("report: status %d", status)
 	}
-	return rep
+	return created.ID, rep
 }
 
 // TestEndToEndInteractiveSession walks the full HTTP lifecycle: create ->
@@ -164,7 +193,7 @@ func TestEndToEndInteractiveSession(t *testing.T) {
 		t.Fatalf("bad health: %+v", health)
 	}
 
-	rep := playSession(t, ts, c, "best way to get to", 15, 3)
+	id, rep := playSession(t, ts, c, "best way to get to", 15, 3)
 	if rep.Questions == 0 || rep.Questions > 15 {
 		t.Fatalf("questions = %d", rep.Questions)
 	}
@@ -178,11 +207,7 @@ func TestEndToEndInteractiveSession(t *testing.T) {
 		t.Fatal("no positives discovered")
 	}
 
-	// The report carries the session's step latency, and healthz aggregates
-	// the latency of every suggest call served so far.
-	if rep.LastStepMillis <= 0 || rep.AvgStepMillis <= 0 {
-		t.Errorf("report step latency missing: last=%v avg=%v", rep.LastStepMillis, rep.AvgStepMillis)
-	}
+	// healthz aggregates the latency of every suggest call served so far.
 	if status := doJSON(t, ts, http.MethodGet, "/healthz", nil, &health); status != http.StatusOK {
 		t.Fatalf("healthz: status %d", status)
 	}
@@ -194,7 +219,7 @@ func TestEndToEndInteractiveSession(t *testing.T) {
 	}
 
 	// Export the labeled corpus and check it against the report.
-	resp, err := ts.Client().Get(ts.URL + "/v1/sessions/" + rep.ID + "/export")
+	resp, err := ts.Client().Get(ts.URL + "/v2/labelers/" + id + "/export")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +262,10 @@ func TestEndToEndInteractiveSession(t *testing.T) {
 	}
 
 	// Deleting the session makes it unreachable.
-	if status := doJSON(t, ts, http.MethodDelete, "/v1/sessions/"+rep.ID, nil, nil); status != http.StatusNoContent {
+	if status := doJSON(t, ts, http.MethodDelete, "/v2/labelers/"+id, nil, nil); status != http.StatusNoContent {
 		t.Fatalf("delete: status %d", status)
 	}
-	if status := doJSON(t, ts, http.MethodGet, "/v1/sessions/"+rep.ID+"/report", nil, nil); status != http.StatusNotFound {
+	if status := doJSON(t, ts, http.MethodGet, "/v2/labelers/"+id+"/report", nil, nil); status != http.StatusNotFound {
 		t.Fatalf("report after delete: status %d", status)
 	}
 }
@@ -254,7 +279,7 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 	defer ts.Close()
 
 	const workers = 8
-	reports := make([]reportResponse, workers)
+	reports := make([]darwin.Report, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -264,7 +289,7 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 			if w%2 == 1 {
 				seedRule = "shuttle to"
 			}
-			reports[w] = playSession(t, ts, c, seedRule, 6, int64(w+1))
+			_, reports[w] = playSession(t, ts, c, seedRule, 6, int64(w+1))
 		}(w)
 	}
 	wg.Wait()
@@ -282,24 +307,32 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 	}
 }
 
+// createSession creates a solo session labeler over /v2 and returns its
+// status (ID set).
+func createSession(t *testing.T, ts *httptest.Server, budget int) darwin.Status {
+	t.Helper()
+	var created darwin.Status
+	if status := doJSON(t, ts, http.MethodPost, "/v2/labelers", darwin.CreateOptions{
+		Dataset:   "directions",
+		SeedRules: []string{"best way to get to"},
+		Budget:    budget,
+	}, &created); status != http.StatusCreated {
+		t.Fatalf("create: status %d", status)
+	}
+	return created
+}
+
 func TestSessionTTLExpiry(t *testing.T) {
 	srv, _ := newTestServer(t, Config{SessionTTL: time.Minute})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var created createResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/sessions", createRequest{
-		Dataset:   "directions",
-		SeedRules: []string{"best way to get to"},
-		Budget:    5,
-	}, &created); status != http.StatusCreated {
-		t.Fatalf("create: status %d", status)
-	}
+	created := createSession(t, ts, 5)
 
 	// Advance the store's clock past the TTL; the session must be gone both
 	// via lazy Get eviction and via an explicit sweep.
 	srv.Store().now = func() time.Time { return time.Now().Add(2 * time.Minute) }
-	if status := doJSON(t, ts, http.MethodGet, "/v1/sessions/"+created.ID+"/suggest", nil, nil); status != http.StatusNotFound {
+	if _, _, status := suggestion(t, ts, created.ID); status != http.StatusNotFound {
 		t.Fatalf("expired session answered with status %d", status)
 	}
 	srv.Store().Sweep()
@@ -320,49 +353,40 @@ func TestHTTPErrorPaths(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"unknown dataset", http.MethodPost, "/v1/sessions", createRequest{Dataset: "nope"}, http.StatusNotFound},
-		{"bad create body", http.MethodPost, "/v1/sessions", "not-json", http.StatusBadRequest},
-		{"bad seed rule", http.MethodPost, "/v1/sessions", createRequest{Dataset: "directions", SeedRules: []string{"@@@ ???"}}, http.StatusBadRequest},
-		{"empty seeds", http.MethodPost, "/v1/sessions", createRequest{Dataset: "directions"}, http.StatusBadRequest},
-		{"too many seed rules", http.MethodPost, "/v1/sessions", createRequest{Dataset: "directions", SeedRules: make([]string, 17)}, http.StatusBadRequest},
-		{"unknown session suggest", http.MethodGet, "/v1/sessions/deadbeef/suggest", nil, http.StatusNotFound},
-		{"unknown session answer", http.MethodPost, "/v1/sessions/deadbeef/answer", answerRequest{Key: "k"}, http.StatusNotFound},
-		{"unknown session report", http.MethodGet, "/v1/sessions/deadbeef/report", nil, http.StatusNotFound},
-		{"unknown session export", http.MethodGet, "/v1/sessions/deadbeef/export", nil, http.StatusNotFound},
-		{"unknown session delete", http.MethodDelete, "/v1/sessions/deadbeef", nil, http.StatusNotFound},
+		{"unknown dataset", http.MethodPost, "/v2/labelers", darwin.CreateOptions{Dataset: "nope"}, http.StatusNotFound},
+		{"bad create body", http.MethodPost, "/v2/labelers", "not-json", http.StatusBadRequest},
+		{"bad seed rule", http.MethodPost, "/v2/labelers", darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"@@@ ???"}}, http.StatusBadRequest},
+		{"empty seeds", http.MethodPost, "/v2/labelers", darwin.CreateOptions{Dataset: "directions"}, http.StatusBadRequest},
+		{"too many seed rules", http.MethodPost, "/v2/labelers", darwin.CreateOptions{Dataset: "directions", SeedRules: make([]string, 17)}, http.StatusBadRequest},
+		{"unknown session suggest", http.MethodGet, "/v2/labelers/deadbeef/suggestion", nil, http.StatusNotFound},
+		{"unknown session answer", http.MethodPost, "/v2/labelers/deadbeef/answers", answerOne("k", false), http.StatusNotFound},
+		{"unknown session report", http.MethodGet, "/v2/labelers/deadbeef/report", nil, http.StatusNotFound},
+		{"unknown session export", http.MethodGet, "/v2/labelers/deadbeef/export", nil, http.StatusNotFound},
+		{"unknown session delete", http.MethodDelete, "/v2/labelers/deadbeef", nil, http.StatusNotFound},
 	}
 	for _, tc := range cases {
-		var errResp errorJSON
-		if status := doJSON(t, ts, tc.method, tc.path, tc.body, &errResp); status != tc.want {
+		var env darwin.ErrorEnvelope
+		if status := doJSON(t, ts, tc.method, tc.path, tc.body, &env); status != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, status, tc.want)
-		} else if errResp.Error == "" {
+		} else if env.Message == "" {
 			t.Errorf("%s: missing error message", tc.name)
 		}
 	}
 
 	// Answering without a pending suggestion, and with a mismatched key, are
 	// conflicts that leave the session usable.
-	var created createResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/sessions", createRequest{
-		Dataset:   "directions",
-		SeedRules: []string{"best way to get to"},
-		Budget:    5,
-	}, &created); status != http.StatusCreated {
-		t.Fatalf("create: status %d", status)
-	}
-	base := "/v1/sessions/" + created.ID
-	if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Key: "k", Accept: true}, nil); status != http.StatusConflict {
+	base := "/v2/labelers/" + createSession(t, ts, 5).ID
+	if status := doJSON(t, ts, http.MethodPost, base+"/answers", answerOne("k", true), nil); status != http.StatusConflict {
 		t.Fatalf("answer with no pending suggestion: status %d", status)
 	}
-	var sug suggestResponse
-	if status := doJSON(t, ts, http.MethodGet, base+"/suggest", nil, &sug); status != http.StatusOK || sug.Done {
-		t.Fatalf("suggest: status %d done=%v", status, sug.Done)
+	var sug darwin.Suggestion
+	if status := doJSON(t, ts, http.MethodGet, base+"/suggestion", nil, &sug); status != http.StatusOK || sug.Key == "" {
+		t.Fatalf("suggest: status %d key=%q", status, sug.Key)
 	}
-	if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Key: "wrong", Accept: true}, nil); status != http.StatusConflict {
+	if status := doJSON(t, ts, http.MethodPost, base+"/answers", answerOne("wrong", true), nil); status != http.StatusConflict {
 		t.Fatalf("mismatched answer key: status %d", status)
 	}
-	var ans answerResponse
-	if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Key: sug.Key, Accept: true}, &ans); status != http.StatusOK {
+	if status := doJSON(t, ts, http.MethodPost, base+"/answers", answerOne(sug.Key, true), nil); status != http.StatusOK {
 		t.Fatalf("valid answer after conflicts: status %d", status)
 	}
 }
@@ -373,7 +397,7 @@ func TestStoreCapacity(t *testing.T) {
 	defer ts.Close()
 
 	make1 := func() int {
-		return doJSON(t, ts, http.MethodPost, "/v1/sessions", createRequest{
+		return doJSON(t, ts, http.MethodPost, "/v2/labelers", darwin.CreateOptions{
 			Dataset:   "directions",
 			SeedRules: []string{"best way to get to"},
 			Budget:    5,
@@ -401,6 +425,51 @@ func TestNewServerValidation(t *testing.T) {
 	d := srv.datasets["directions"]
 	if _, err := New(Config{}, d, d); err == nil {
 		t.Error("duplicate dataset should error")
+	}
+}
+
+// TestNewClosesWhatItOpenedOnError pins that a New failing after the
+// workspace journal opened closes everything it had opened so far (journal
+// writer, replication node, session journal) instead of leaking their
+// descriptors.
+func TestNewClosesWhatItOpenedOnError(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open descriptors")
+	}
+	srv, _ := newTestServer(t, Config{})
+	d := srv.datasets["directions"]
+	dir := t.TempDir()
+	// A directory where the session journal file belongs, and a regular
+	// file where the jobs directory belongs, make the respective opens fail.
+	if err := os.Mkdir(filepath.Join(dir, "a.jsonl.sessions"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jobsFile := filepath.Join(dir, "jobs")
+	if err := os.WriteFile(jobsFile, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"session journal", Config{JournalPath: filepath.Join(dir, "a.jsonl"), JournalSessions: true}},
+		{"jobs dir", Config{JournalPath: filepath.Join(dir, "b.jsonl"), JournalSessions: true, JobsDir: jobsFile}},
+	}
+	for _, tc := range cases {
+		before := openFDs()
+		if _, err := New(tc.cfg, d); err == nil {
+			t.Fatalf("%s: New succeeded", tc.name)
+		}
+		if leaked := openFDs() - before; leaked != 0 {
+			t.Errorf("%s: failing New left %d descriptors open", tc.name, leaked)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func RegisterV2(b Backend, register func(pattern string, h http.HandlerFunc)) {
 
 // V2Handler returns a handler serving just the /v2 surface over b — what
 // cmd/darwin-router mounts (darwind registers the same routes on its own mux
-// alongside /v1 and /healthz).
+// alongside /healthz and /metrics).
 func V2Handler(b Backend) http.Handler {
 	mux := http.NewServeMux()
 	RegisterV2(b, func(pattern string, h http.HandlerFunc) { mux.HandleFunc(pattern, h) })
@@ -150,11 +150,11 @@ type wsLabeler struct {
 }
 
 // labelerRegistry tracks the workspace-backed labelers created via /v2.
-// Session-backed labelers live in the session store (shared with /v1);
-// workspace lifetime is governed by the workspace manager's TTL. Entries
-// are dropped on delete, on access once their workspace turns out to be
-// gone (Labeler), and by pruneDeadLabelers sweeps (listing, and before
-// refusing a create at the capacity cap).
+// Session-backed labelers live in the session store; workspace lifetime is
+// governed by the workspace manager's TTL. Entries are dropped on delete,
+// on access once their workspace turns out to be gone (Labeler), and by
+// pruneDeadLabelers sweeps (listing, and before refusing a create at the
+// capacity cap).
 type labelerRegistry struct {
 	mu    sync.Mutex //darwin:lockrank store
 	items map[string]*wsLabeler
@@ -522,8 +522,7 @@ func parseLimit(r *http.Request) (int, error) {
 // --- *Server as the local Backend ---
 
 // timedSessionLabeler folds session suggest latency into the healthz
-// aggregate on the /v2 path, mirroring what the /v1 handlers do through
-// suggestStep, and journals applied answers when session journaling is on.
+// aggregate and journals applied answers when session journaling is on.
 // Embedding keeps every other Labeler/BatchAnswerer/Statuser method on the
 // adapter itself.
 type timedSessionLabeler struct {
@@ -573,9 +572,45 @@ func (s *Server) CreateLabeler(ctx context.Context, req darwin.CreateOptions) (d
 }
 
 func (s *Server) createSessionLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
-	lab, en, err := s.newSessionLabeler(req.Dataset, req.SeedRules, req.SeedPositiveIDs, req.Budget, req.Seed)
+	d, ok := s.datasets[req.Dataset]
+	if !ok {
+		return darwin.Status{}, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
+	}
+	if len(req.SeedRules) > s.cfg.MaxSeedRules {
+		return darwin.Status{}, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
+	}
+	// Reject a full store before paying for session construction (classifier
+	// training plus the engine's index write lock); Create re-checks under
+	// its lock.
+	if !s.store.HasCapacity() {
+		return darwin.Status{}, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
+	}
+	budget := req.Budget
+	if budget <= 0 {
+		budget = s.cfg.DefaultBudget
+	}
+	lab, err := darwin.NewSession(d.Engine, d.Name, darwin.Options{
+		SeedRules:       req.SeedRules,
+		SeedPositiveIDs: req.SeedPositiveIDs,
+		Budget:          budget,
+		Seed:            req.Seed,
+	})
 	if err != nil {
 		return darwin.Status{}, err
+	}
+	en, err := s.store.Create(d.Name, lab)
+	if err != nil {
+		return darwin.Status{}, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
+	}
+	if s.sessJournal != nil {
+		// Journal the resolved options (server defaults applied), so replay
+		// does not depend on the config of the recovering process.
+		s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
+			SeedRules:       req.SeedRules,
+			SeedPositiveIDs: req.SeedPositiveIDs,
+			Budget:          budget,
+			Seed:            req.Seed,
+		})
 	}
 	st, err := lab.Status(ctx)
 	if err != nil {

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -137,8 +135,8 @@ func TestV2ErrorEnvelopeConformance(t *testing.T) {
 	}
 }
 
-// TestV2MiddlewareErrorEnvelopes pins that auth and rate-limit rejections on
-// /v2 paths also speak the envelope (the v1 paths keep the legacy shape).
+// TestV2MiddlewareErrorEnvelopes pins that auth and rate-limit rejections
+// speak the /v2 envelope too.
 func TestV2MiddlewareErrorEnvelopes(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Token: "s3cret", RatePerSec: 1, RateBurst: 2})
 	ts := httptest.NewServer(srv)
@@ -178,102 +176,6 @@ func TestV2MiddlewareErrorEnvelopes(t *testing.T) {
 	if !sawRateLimit {
 		t.Error("rate limit never triggered within the test burst")
 	}
-}
-
-// --- v1 / v2 equivalence ---
-
-// TestV1V2EquivalentReports drives the same deterministic event sequence
-// once through the legacy /v1 endpoints and once through /v2, then asserts
-// the two runs' /v2 reports are byte-identical: /v1 really is a thin
-// adapter over the same core, not a parallel implementation.
-func TestV1V2EquivalentReports(t *testing.T) {
-	srv, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const steps = 10
-	// verdict derives the accept decision purely from the suggestion, so
-	// both drivers make identical choices at identical steps.
-	verdict := func(question, newCoverage int) bool {
-		return newCoverage > 0 && question%2 == 1
-	}
-
-	// Drive via v1.
-	var created createResponse
-	if status := doJSON(t, ts, "POST", "/v1/sessions", createRequest{
-		Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: steps, Seed: 77,
-	}, &created); status != http.StatusCreated {
-		t.Fatalf("v1 create: status %d", status)
-	}
-	for {
-		var sug suggestResponse
-		if status := doJSON(t, ts, "GET", "/v1/sessions/"+created.ID+"/suggest", nil, &sug); status != http.StatusOK {
-			t.Fatalf("v1 suggest: status %d", status)
-		}
-		if sug.Done {
-			break
-		}
-		var ans answerResponse
-		if status := doJSON(t, ts, "POST", "/v1/sessions/"+created.ID+"/answer", answerRequest{
-			Key: sug.Key, Accept: verdict(sug.Question, sug.NewCoverage),
-		}, &ans); status != http.StatusOK {
-			t.Fatalf("v1 answer: status %d", status)
-		}
-	}
-
-	// Drive the same sequence via v2.
-	var st darwin.Status
-	if status := doJSON(t, ts, "POST", "/v2/labelers", darwin.CreateOptions{
-		Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: steps, Seed: 77,
-	}, &st); status != http.StatusCreated {
-		t.Fatalf("v2 create: status %d", status)
-	}
-	for {
-		var sug darwin.Suggestion
-		status := doJSON(t, ts, "GET", "/v2/labelers/"+st.ID+"/suggestion", nil, &sug)
-		if status == http.StatusConflict {
-			break // budget_exhausted
-		}
-		if status != http.StatusOK {
-			t.Fatalf("v2 suggestion: status %d", status)
-		}
-		body := map[string]any{"answers": []darwin.Answer{{Key: sug.Key, Accept: verdict(sug.Question, sug.NewCoverage)}}}
-		var out json.RawMessage
-		if status := doJSON(t, ts, "POST", "/v2/labelers/"+st.ID+"/answers", body, &out); status != http.StatusOK {
-			t.Fatalf("v2 answers: status %d: %s", status, out)
-		}
-	}
-
-	rawV1 := rawBody(t, ts, "/v2/labelers/"+created.ID+"/report")
-	rawV2 := rawBody(t, ts, "/v2/labelers/"+st.ID+"/report")
-	if !bytes.Equal(rawV1, rawV2) {
-		t.Errorf("reports differ between v1- and v2-driven runs:\nv1: %s\nv2: %s", rawV1, rawV2)
-	}
-	// Sanity: the run did real work.
-	var rep darwin.Report
-	if err := json.Unmarshal(rawV1, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Questions == 0 || rep.Positives == 0 {
-		t.Errorf("equivalence run did no work: %+v", rep)
-	}
-}
-
-func rawBody(t *testing.T, ts *httptest.Server, path string) []byte {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // --- workspace-backed labelers over /v2 ---

@@ -446,12 +446,17 @@ func (ws *Workspace) DetachIdle(cutoff time.Time) []string {
 	return idle
 }
 
-// HasAnnotator reports whether the named annotator is currently attached.
+// HasAnnotator reports whether the named annotator may still be attached:
+// it is attached in memory, or a journal append has failed, after which the
+// in-memory state may run ahead of the log (a detach that failed to journal
+// is undone by the replay after a restart). The serving layer resolves
+// labeler ids through it, so a labeler whose detach failed stays
+// addressable and its DELETE can be retried.
 func (ws *Workspace) HasAnnotator(name string) bool {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	_, ok := ws.annotators[name]
-	return ok
+	return ok || ws.logErr != nil
 }
 
 // applied records one applied state change: it journals the event (while

@@ -219,7 +219,7 @@ func (c *Client) roundTripCT(ctx context.Context, method, path string, body io.R
 	if json.Unmarshal(raw, &env) == nil && env.Code != "" {
 		return nil, env.Err()
 	}
-	// Not a /v2 envelope (proxy, v1 handler, ...): classify by status.
+	// Not a /v2 envelope (proxy, load balancer, ...): classify by status.
 	sentinel := ErrInternal
 	switch resp.StatusCode {
 	case http.StatusBadRequest:

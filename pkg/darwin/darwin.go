@@ -190,8 +190,8 @@ type ClassifierInfo struct {
 
 // Report is a deterministic snapshot of a discovery run: it carries no
 // wall-clock or process-local fields, so equal event sequences yield
-// byte-identical serialized reports regardless of which surface (v1, v2,
-// local, remote) drove them.
+// byte-identical serialized reports regardless of which labeler (local
+// adapter, RemoteLabeler, router) drove them.
 type Report struct {
 	Dataset   string `json:"dataset"`
 	Mode      string `json:"mode"`

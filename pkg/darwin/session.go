@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -236,15 +235,6 @@ func (l *SessionLabeler) Status(ctx context.Context) (Status, error) {
 	l.stMu.Lock()
 	defer l.stMu.Unlock()
 	return l.st, nil
-}
-
-// StepLatency returns the last and average wall-clock duration of the
-// suggest steps that did real work (serving-layer diagnostics; not part of
-// the Labeler interface).
-func (l *SessionLabeler) StepLatency() (last, avg time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sess.StepLatency()
 }
 
 // samplesFrom resolves sample sentence IDs against the corpus, skipping IDs

@@ -22,10 +22,6 @@ type WorkspaceLabeler struct {
 	eng       *core.Engine
 	wsID      string
 	annotator string
-	// detach marks a labeler whose Close detaches the annotator (labelers
-	// created by AttachWorkspace); labelers merely bound to an existing
-	// attachment leave it in place.
-	detach bool
 
 	mu     sync.Mutex
 	closed bool
@@ -34,17 +30,13 @@ type WorkspaceLabeler struct {
 // AttachWorkspace attaches a new annotator to the workspace and returns the
 // attachment as a Labeler; Close detaches it again.
 func AttachWorkspace(mgr *workspace.Manager, wsID, annotator string) (*WorkspaceLabeler, error) {
-	if annotator == "" {
-		return nil, fmt.Errorf("%w: annotator name is required", ErrInvalid)
-	}
-	l, err := BindWorkspace(mgr, wsID, annotator)
+	l, err := AdoptWorkspace(mgr, wsID, annotator)
 	if err != nil {
 		return nil, err
 	}
 	if err := mgr.Attach(wsID, annotator); err != nil {
 		return nil, mapWorkspaceErr(err)
 	}
-	l.detach = true
 	return l, nil
 }
 
@@ -57,18 +49,6 @@ func AdoptWorkspace(mgr *workspace.Manager, wsID, annotator string) (*WorkspaceL
 	if annotator == "" {
 		return nil, fmt.Errorf("%w: annotator name is required", ErrInvalid)
 	}
-	l, err := BindWorkspace(mgr, wsID, annotator)
-	if err != nil {
-		return nil, err
-	}
-	l.detach = true
-	return l, nil
-}
-
-// BindWorkspace wraps an already-attached annotator as a Labeler without
-// touching the attachment (Close leaves it in place). The serving layer uses
-// it to answer v1 and v2 requests over one code path.
-func BindWorkspace(mgr *workspace.Manager, wsID, annotator string) (*WorkspaceLabeler, error) {
 	ws, ok := mgr.Get(wsID)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown or expired workspace %q", ErrNotFound, wsID)
@@ -228,26 +208,23 @@ func (l *WorkspaceLabeler) Export(ctx context.Context, w io.Writer) error {
 	return l.eng.Corpus().WriteLabeledJSONL(w, ws.PositivesMap())
 }
 
-// Close implements Labeler: it detaches the annotator when the labeler
-// created the attachment (releasing any pending suggestion back to the
-// pool). The workspace itself lives on. The labeler is marked closed only
-// once the detach succeeded (or the attachment is already gone), so a
-// failed detach — e.g. a broken journal — can be retried.
+// Close implements Labeler: it detaches the annotator (releasing any
+// pending suggestion back to the pool). The workspace itself lives on. The
+// labeler is marked closed only once the detach succeeded (or the attachment
+// is already gone), so a failed detach — e.g. a broken journal — can be
+// retried.
 func (l *WorkspaceLabeler) Close(ctx context.Context) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	detach := l.detach
 	l.mu.Unlock()
-	if detach {
-		err := l.mgr.Detach(l.wsID, l.annotator)
-		if err != nil &&
-			!errors.Is(err, workspace.ErrUnknownWorkspace) &&
-			!errors.Is(err, workspace.ErrUnknownAnnotator) {
-			return mapWorkspaceErr(err)
-		}
+	err := l.mgr.Detach(l.wsID, l.annotator)
+	if err != nil &&
+		!errors.Is(err, workspace.ErrUnknownWorkspace) &&
+		!errors.Is(err, workspace.ErrUnknownAnnotator) {
+		return mapWorkspaceErr(err)
 	}
 	l.mu.Lock()
 	l.closed = true
