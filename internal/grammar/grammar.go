@@ -8,7 +8,7 @@ package grammar
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/corpus"
@@ -45,7 +45,9 @@ type Grammar interface {
 	// Name returns the grammar's name ("tokensregex", "treematch", ...).
 	Name() string
 	// Sketch enumerates the heuristics of depth <= maxDepth satisfied by the
-	// sentence. This is the derivation sketch of §3.1.
+	// sentence, deduplicated by key, in a fresh slice the caller may reorder.
+	// This is the derivation sketch of §3.1. Any order is allowed, but a
+	// sketch sorted by key lets Registry.Sketch skip its sort.
 	Sketch(s *corpus.Sentence, maxDepth int) []Heuristic
 	// Parse converts a textual rule specification into a heuristic.
 	Parse(spec string) (Heuristic, error)
@@ -148,24 +150,35 @@ func (r *Registry) Parse(spec string) (Heuristic, error) {
 }
 
 // Sketch returns the union of all registered grammars' sketches for the
-// sentence, deduplicated by key and sorted by key for determinism.
+// sentence, deduplicated by key and sorted by key for determinism. Keys carry
+// their grammar's name, so sketches of different grammars never collide; the
+// concatenation is sorted only when it is not sorted already, as a single
+// sorted grammar's sketch is.
 func (r *Registry) Sketch(s *corpus.Sentence, maxDepth int) []Heuristic {
-	seen := map[string]Heuristic{}
-	for _, name := range r.order {
-		for _, h := range r.grammars[name].Sketch(s, maxDepth) {
-			seen[h.Key()] = h
+	var out []Heuristic
+	for i, name := range r.order {
+		hs := r.grammars[name].Sketch(s, maxDepth)
+		if i == 0 {
+			out = slices.Clip(hs)
+		} else {
+			out = append(out, hs...)
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Heuristic, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
+	if !sortedByKey(out) {
+		slices.SortFunc(out, func(a, b Heuristic) int { return strings.Compare(a.Key(), b.Key()) })
+		out = slices.CompactFunc(out, func(a, b Heuristic) bool { return a.Key() == b.Key() })
 	}
 	return out
+}
+
+// sortedByKey reports whether hs is sorted by strictly increasing key.
+func sortedByKey(hs []Heuristic) bool {
+	for i := 1; i < len(hs); i++ {
+		if hs[i-1].Key() >= hs[i].Key() {
+			return false
+		}
+	}
+	return true
 }
 
 // Specialize dispatches to the grammar that owns h. Specializing the root

@@ -5,9 +5,6 @@
 package sketch
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 )
@@ -30,9 +27,6 @@ type Builder struct {
 	// paper uses a maximum depth of 10 for generating derivation sketches;
 	// phrase-style grammars rarely benefit from more than 5-6.
 	MaxDepth int
-	// Workers bounds the number of goroutines used by BuildCorpus
-	// (0 = GOMAXPROCS).
-	Workers int
 }
 
 // NewBuilder returns a Builder over the registry with the given max depth.
@@ -52,43 +46,6 @@ func (b *Builder) Build(s *corpus.Sentence) Sketch {
 		SentenceID: s.ID,
 		Heuristics: b.Registry.Sketch(s, b.MaxDepth),
 	}
-}
-
-// BuildCorpus sketches every sentence of the corpus in parallel and returns
-// the sketches indexed by sentence ID. The result order is deterministic.
-func (b *Builder) BuildCorpus(c *corpus.Corpus) []Sketch {
-	n := c.Len()
-	out := make([]Sketch, n)
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = b.Build(c.Sentence(i))
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int, workers*2)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ch {
-				out[id] = b.Build(c.Sentence(id))
-			}
-		}()
-	}
-	for id := 0; id < n; id++ {
-		ch <- id
-	}
-	close(ch)
-	wg.Wait()
-	return out
 }
 
 // Size returns the number of heuristics in the sketch.

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
@@ -51,35 +50,4 @@ func TestBuilderDefaultDepth(t *testing.T) {
 	if b.MaxDepth != 10 {
 		t.Errorf("default MaxDepth = %d, want 10", b.MaxDepth)
 	}
-}
-
-func TestBuildCorpusParallelDeterministic(t *testing.T) {
-	reg := grammar.NewRegistry(tokensregex.New())
-	c := buildCorpus()
-
-	seq := NewBuilder(reg, 3)
-	seq.Workers = 1
-	par := NewBuilder(reg, 3)
-	par.Workers = 4
-
-	a := seq.BuildCorpus(c)
-	b := par.BuildCorpus(c)
-	if len(a) != c.Len() || len(b) != c.Len() {
-		t.Fatalf("sketch counts: %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		ka := keysOf(a[i])
-		kb := keysOf(b[i])
-		if !reflect.DeepEqual(ka, kb) {
-			t.Errorf("sentence %d sketches differ between serial and parallel", i)
-		}
-	}
-}
-
-func keysOf(s Sketch) []string {
-	out := make([]string, len(s.Heuristics))
-	for i, h := range s.Heuristics {
-		out[i] = h.Key()
-	}
-	return out
 }

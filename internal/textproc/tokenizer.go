@@ -11,6 +11,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single token of a sentence after tokenization. The surface form
@@ -84,16 +85,44 @@ func (t Tokenizer) Tokenize(text string) []Token {
 	return tokens
 }
 
-// TokenizeWords is a convenience wrapper returning only the normalized token
-// strings.
+// TokenizeWords returns the normalized token strings, the Norm fields of
+// Tokenize. The zero Tokenizer scans text in place, and a token already in
+// normal form is a substring of text rather than a copy.
 func (t Tokenizer) TokenizeWords(text string) []string {
-	toks := t.Tokenize(text)
-	if len(toks) == 0 {
-		return nil
+	if t.KeepPunct || t.SplitContractions {
+		toks := t.Tokenize(text)
+		if len(toks) == 0 {
+			return nil
+		}
+		out := make([]string, len(toks))
+		for i, tok := range toks {
+			out[i] = tok.Norm
+		}
+		return out
 	}
-	out := make([]string, len(toks))
-	for i, tok := range toks {
-		out[i] = tok.Norm
+	var out []string
+	for i := 0; i < len(text); {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		if !isWordRune(r) {
+			i += size
+			continue
+		}
+		start := i
+		for i += size; i < len(text); i += size {
+			r, size = utf8.DecodeRuneInString(text[i:])
+			if isWordRune(r) {
+				continue
+			}
+			// A joiner is only ever reached right after a word rune, so it
+			// joins when the next rune is a word rune too.
+			if r != '\'' && r != '-' {
+				break
+			}
+			if next, _ := utf8.DecodeRuneInString(text[i+size:]); !isWordRune(next) {
+				break
+			}
+		}
+		out = append(out, Normalize(text[start:i]))
 	}
 	return out
 }

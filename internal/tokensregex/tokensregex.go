@@ -8,6 +8,7 @@ package tokensregex
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/corpus"
@@ -122,28 +123,75 @@ func New() *Grammar {
 func (g *Grammar) Name() string { return GrammarName }
 
 // Sketch enumerates every contiguous n-gram of the sentence with 1 <= n <=
-// maxDepth (the derivation sketch of Figure 5), deduplicated.
+// maxDepth (the derivation sketch of Figure 5), deduplicated and sorted by
+// key. Phrases share the sentence's token slice, and the keys of all n-grams
+// starting at one position are prefixes of a single string, so a sketch costs
+// about one allocation per heuristic.
 func (g *Grammar) Sketch(s *corpus.Sentence, maxDepth int) []grammar.Heuristic {
 	if s == nil || len(s.Tokens) == 0 || maxDepth < 1 {
 		return nil
 	}
-	seen := map[string]bool{}
-	var out []grammar.Heuristic
-	for n := 1; n <= maxDepth && n <= len(s.Tokens); n++ {
-		for i := 0; i+n <= len(s.Tokens); i++ {
-			phrase := s.Tokens[i : i+n]
-			if n == 1 && g.SkipStopwordUnigrams && textproc.IsStopWord(phrase[0]) {
+	toks := normalized(s.Tokens)
+	hs := make([]*Heuristic, 0, ngramCount(len(toks), maxDepth))
+	for i := range toks {
+		end := min(i+maxDepth, len(toks))
+		size := len(GrammarName) + end - i
+		for _, t := range toks[i:end] {
+			size += len(t)
+		}
+		var b strings.Builder
+		b.Grow(size)
+		b.WriteString(GrammarName)
+		b.WriteByte(':')
+		for j, t := range toks[i:end] {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(t)
+		}
+		key := b.String()
+		off := len(GrammarName)
+		for j := i; j < end; j++ {
+			off += 1 + len(toks[j]) // the ':' or ' ' before the token, then the token
+			// Stop words are looked up by the raw token, so an unnormalized
+			// "The" still yields its unigram.
+			if j == i && g.SkipStopwordUnigrams && textproc.IsStopWord(s.Tokens[i]) {
 				continue
 			}
-			h := NewHeuristic(phrase)
-			if seen[h.Key()] {
-				continue
-			}
-			seen[h.Key()] = true
-			out = append(out, h)
+			hs = append(hs, &Heuristic{phrase: toks[i : j+1 : j+1], key: key[:off]})
 		}
 	}
+	slices.SortFunc(hs, func(a, b *Heuristic) int { return strings.Compare(a.key, b.key) })
+	hs = slices.CompactFunc(hs, func(a, b *Heuristic) bool { return a.key == b.key })
+	out := make([]grammar.Heuristic, len(hs))
+	for i, h := range hs {
+		out[i] = h
+	}
 	return out
+}
+
+// normalized returns toks itself when every token is already in normal form,
+// as corpus.Preprocess leaves them, and a normalized copy otherwise.
+func normalized(toks []string) []string {
+	for i, t := range toks {
+		if textproc.Normalize(t) == t {
+			continue
+		}
+		out := make([]string, len(toks))
+		copy(out, toks[:i])
+		for j := i; j < len(toks); j++ {
+			out[j] = textproc.Normalize(toks[j])
+		}
+		return out
+	}
+	return toks
+}
+
+// ngramCount is the number of n-grams with 1 <= n <= maxDepth in a sequence
+// of length tokens.
+func ngramCount(length, maxDepth int) int {
+	d := min(length, maxDepth)
+	return d*length - d*(d-1)/2
 }
 
 // Parse parses a phrase specification such as "best way to" or "shuttle * the
