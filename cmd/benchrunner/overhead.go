@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -13,7 +12,7 @@ import (
 )
 
 // overheadBudget is the instrumentation-cost guard: with telemetry enabled
-// the scripted session's mean step must stay within 5% of the disabled run,
+// the scripted labeler's mean step must stay within 5% of the disabled run,
 // plus a small absolute floor so sub-millisecond steps don't fail on noise.
 const (
 	overheadRelBudget      = 0.05
@@ -21,7 +20,7 @@ const (
 )
 
 // runOverhead measures the telemetry tax on the interactive hot path: the
-// same scripted session as runPerf, A/B'd with the obs registry disabled and
+// same scripted labeler as runPerf, A/B'd with the obs registry disabled and
 // enabled on the same engine in the same process. Fails (non-zero exit in
 // CI) when the enabled mean exceeds the budget above.
 func runOverhead(perfPath string) error {
@@ -42,18 +41,18 @@ func runOverhead(perfPath string) error {
 
 	// Warm up once (feature cache, page cache) so neither arm pays the
 	// first-run cost, then measure disabled and enabled runs of the
-	// identical deterministic session.
+	// identical deterministic labeler.
 	defer obs.SetEnabled(true)
-	if _, _, err := scriptedSession(engine, steps); err != nil {
+	if _, _, err := scriptedStepStats(engine, steps); err != nil {
 		return err
 	}
 	obs.SetEnabled(false)
-	offMean, offP95, err := scriptedSession(engine, steps)
+	offMean, offP95, err := scriptedStepStats(engine, steps)
 	if err != nil {
 		return err
 	}
 	obs.SetEnabled(true)
-	onMean, onP95, err := scriptedSession(engine, steps)
+	onMean, onP95, err := scriptedStepStats(engine, steps)
 	if err != nil {
 		return err
 	}
@@ -72,27 +71,12 @@ func runOverhead(perfPath string) error {
 	return nil
 }
 
-// scriptedSession runs runPerf's reject-heavy scripted session (one accept
-// per seven questions) and returns the step mean and p95 in milliseconds.
-func scriptedSession(engine *core.Engine, steps int) (mean, p95 float64, err error) {
-	sess, err := engine.NewSession(core.SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 1 << 30})
+// scriptedStepStats runs runPerf's scripted reject-heavy labeler and returns
+// the Suggest step mean and p95 in milliseconds.
+func scriptedStepStats(engine *core.Engine, steps int) (mean, p95 float64, err error) {
+	lat, _, err := scriptedSteps(engine, steps)
 	if err != nil {
 		return 0, 0, err
-	}
-	lat := make([]float64, 0, steps)
-	for i := 0; i < steps; i++ {
-		stepStart := time.Now()
-		sug, ok := sess.Next()
-		if !ok {
-			break
-		}
-		lat = append(lat, float64(time.Since(stepStart))/float64(time.Millisecond))
-		if _, err := sess.Answer(sug.Key, i%7 == 0); err != nil {
-			return 0, 0, err
-		}
-	}
-	if len(lat) == 0 {
-		return 0, 0, fmt.Errorf("overhead: scripted session produced no steps")
 	}
 	for _, v := range lat {
 		mean += v

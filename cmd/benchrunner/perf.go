@@ -14,6 +14,7 @@ import (
 	"repro/internal/grammar"
 	"repro/internal/hierarchy"
 	"repro/internal/tokensregex"
+	"repro/internal/workspace"
 )
 
 // PerfReport is the machine-readable performance snapshot written to
@@ -58,7 +59,7 @@ type AutolabelPerf struct {
 type PerfNumbers struct {
 	// IndexBuildMillis is corpus preprocessing + sketch index construction.
 	IndexBuildMillis float64 `json:"index_build_ms"`
-	// Step latencies over the scripted reject-heavy interactive session
+	// Suggest latencies over the scripted reject-heavy interactive labeler
 	// (one accept per seven questions), in milliseconds.
 	StepP50Millis  float64 `json:"step_p50_ms"`
 	StepP95Millis  float64 `json:"step_p95_ms"`
@@ -67,14 +68,14 @@ type PerfNumbers struct {
 	// CandidatesPerSec is Algorithm 2 throughput at the paper's 10K
 	// candidate count.
 	CandidatesPerSec float64 `json:"candidates_per_sec"`
-	// HierarchyGenerations over the scripted session (with incremental
+	// HierarchyGenerations over the scripted labeler (with incremental
 	// reuse this tracks positive-set changes, not questions).
 	HierarchyGenerations int `json:"hierarchy_generations"`
 }
 
 // baselinePrePR2 is the committed pre-change baseline, measured at commit
 // bde5f40 (map-based coverage scans, hierarchy regenerated on every Next)
-// with the same corpus, configuration and scripted session as runPerf.
+// with the same corpus, configuration and scripted labeler as runPerf.
 var baselinePrePR2 = PerfNumbers{
 	IndexBuildMillis:     213.2,
 	StepP50Millis:        9.74,
@@ -86,7 +87,7 @@ var baselinePrePR2 = PerfNumbers{
 }
 
 // perfConfig mirrors the interactive serving configuration used by the root
-// benchmarks (BenchmarkSessionNext).
+// benchmarks (BenchmarkSessionNext in internal/workspace).
 func perfConfig() core.Config {
 	return core.Config{
 		Grammars:        []grammar.Grammar{tokensregex.New()},
@@ -123,25 +124,9 @@ func runPerf(outPath string) error {
 	}
 	indexBuild := time.Since(buildStart)
 
-	// Scripted reject-heavy session: one accept per seven questions.
-	sess, err := engine.NewSession(core.SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 1 << 30})
+	lat, gens, err := scriptedSteps(engine, steps)
 	if err != nil {
 		return err
-	}
-	lat := make([]float64, 0, steps)
-	for i := 0; i < steps; i++ {
-		stepStart := time.Now()
-		sug, ok := sess.Next()
-		if !ok {
-			break
-		}
-		lat = append(lat, float64(time.Since(stepStart))/float64(time.Millisecond))
-		if _, err := sess.Answer(sug.Key, i%7 == 0); err != nil {
-			return err
-		}
-	}
-	if len(lat) == 0 {
-		return fmt.Errorf("perf: scripted session produced no steps")
 	}
 	mean := 0.0
 	for _, v := range lat {
@@ -180,7 +165,7 @@ func runPerf(outPath string) error {
 			StepMeanMillis:       mean,
 			Steps:                len(lat),
 			CandidatesPerSec:     float64(generated) / genDur.Seconds(),
-			HierarchyGenerations: sess.HierarchyGenerations(),
+			HierarchyGenerations: gens,
 		},
 		Baseline: baselinePrePR2,
 	}
@@ -202,6 +187,44 @@ func runPerf(outPath string) error {
 	fmt.Printf("baseline (pre-PR2): step p50=%.2fms mean=%.2fms, %d hierarchy generations\n",
 		rep.Baseline.StepP50Millis, rep.Baseline.StepMeanMillis, rep.Baseline.HierarchyGenerations)
 	return nil
+}
+
+// scriptedSteps drives the scripted reject-heavy labeler (one accept per
+// seven questions) for up to steps questions on a one-annotator workspace
+// without a journal, timing each Suggest. It returns the step latencies in
+// milliseconds and the workspace's hierarchy generation count.
+func scriptedSteps(engine *core.Engine, steps int) ([]float64, int, error) {
+	const annotator = "bench"
+	ws, err := workspace.New(engine, "bench", "directions", workspace.Options{
+		SeedRules: []string{"best way to get to"},
+		Budget:    1 << 30,
+		Seed:      engine.DefaultSeed(),
+	}, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := ws.Attach(annotator); err != nil {
+		return nil, 0, err
+	}
+	lat := make([]float64, 0, steps)
+	for i := 0; i < steps; i++ {
+		stepStart := time.Now()
+		sug, ok, err := ws.Suggest(annotator)
+		if err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			break
+		}
+		lat = append(lat, float64(time.Since(stepStart))/float64(time.Millisecond))
+		if _, err := ws.Answer(annotator, sug.Key, i%7 == 0); err != nil {
+			return nil, 0, err
+		}
+	}
+	if len(lat) == 0 {
+		return nil, 0, fmt.Errorf("scripted labeler produced no steps")
+	}
+	return lat, ws.HierarchyGenerations(), nil
 }
 
 // percentile returns the p-quantile of an ascending slice (nearest-rank:

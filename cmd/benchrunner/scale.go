@@ -62,7 +62,7 @@ type ScalePerf struct {
 	BitmapContainers int `json:"bitmap_containers"`
 	DenseContainers  int `json:"dense_containers"`
 
-	// The latency measurement: runPerf's scripted reject-heavy session at
+	// The latency measurement: runPerf's scripted reject-heavy labeler at
 	// paper scale, once per kernel.
 	StepDataset            string  `json:"step_dataset"`
 	StepSentences          int     `json:"step_sentences"`
@@ -108,7 +108,7 @@ func runScale(perfPath string) error {
 	}
 	reduction := 1 - float64(adaptiveBytes)/float64(denseBytes)
 
-	// Latency: the identical scripted session runPerf tracks, driven once
+	// Latency: the identical scripted labeler runPerf tracks, driven once
 	// per kernel on paper-scale directions. Fresh corpora per engine —
 	// preprocessing mutates sentences in place.
 	const (
@@ -128,7 +128,7 @@ func runScale(perfPath string) error {
 		if err != nil {
 			return 0, 0, err
 		}
-		mean, _, err := scriptedSession(eng, steps)
+		mean, _, err := scriptedStepStats(eng, steps)
 		return mean, sc.Len(), err
 	}
 	denseMean, stepSentences, err := stepMean(index.KernelDense)

@@ -193,9 +193,9 @@ func TestMultiShardFailoverE2E(t *testing.T) {
 	shardMetrics := scrapeMetrics(t, "http://"+addrA)
 	for _, series := range []string{
 		`darwin_http_requests_total{daemon="darwind"`,
-		"darwin_sessions_live",
+		"darwin_workspaces_live",
 		"darwin_journal_appends_total",
-		"darwin_suggest_step_duration_seconds_count",
+		"darwin_workspace_suggest_duration_seconds_count",
 	} {
 		if !strings.Contains(shardMetrics, series) {
 			t.Errorf("shard /metrics is missing %q", series)

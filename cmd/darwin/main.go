@@ -36,6 +36,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/tokensregex"
 	"repro/internal/treematch"
+	"repro/internal/workspace"
 	"repro/pkg/darwin"
 )
 
@@ -110,10 +111,14 @@ func main() {
 		fatalf("initialize engine: %v", err)
 	}
 	start := time.Now()
-	report, err := engine.Run(core.RunOptions{
+	// scores is the run's live p_s vector; once Run returns it holds the
+	// final classifier's estimates.
+	var scores []float64
+	report, err := workspace.Run(engine, workspace.RunOptions{
 		SeedRules: []string{rule},
 		Oracle:    o,
-		OnQuery: func(rec core.RuleRecord, e *core.Engine) {
+		OnQuery: func(rec core.RuleRecord, s []float64) {
+			scores = s
 			if *verbose {
 				answer := "NO "
 				if rec.Accepted {
@@ -138,7 +143,7 @@ func main() {
 	prec := eval.PrecisionOfSet(c, report.Positives)
 	fmt.Printf("\ndiscovered positive set: %d sentences, coverage=%.3f precision=%.3f\n",
 		len(report.Positives), cov, prec)
-	f1, thr := eval.BestF1(c, engine.Scores())
+	f1, thr := eval.BestF1(c, scores)
 	fmt.Printf("classifier best F1 = %.3f (threshold %.1f)\n", f1, thr)
 	fmt.Printf("index build %v, total %v (wall clock %v)\n",
 		report.IndexBuild.Round(time.Millisecond), report.Total.Round(time.Millisecond),

@@ -15,10 +15,11 @@ import (
 )
 
 // TestCrashRecoverySIGKILL is the end-to-end durability test: a real
-// darwind process serving a two-annotator workspace is killed with SIGKILL
-// mid-session (no shutdown hook runs), restarted with the same -journal,
-// and must come back with a byte-identical workspace report and keep
-// serving suggestions from where it left off.
+// darwind process serving a two-annotator workspace and a solo labeler
+// (mode "session") is killed with SIGKILL mid-session (no shutdown hook
+// runs), restarted with the same -journal, and must come back with
+// byte-identical reports and statuses and keep serving suggestions from
+// where it left off.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the darwind binary; skipped in -short")
@@ -158,10 +159,38 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("only answered %d steps before candidates ran dry", answered)
 	}
 
-	// snapshot reads the shared report and both labelers' statuses.
+	// A solo labeler is a one-annotator workspace and journals the same way.
+	var solo labeler
+	if status := do(addr, "POST", "/v2/labelers", map[string]any{
+		"dataset":    "directions",
+		"mode":       "session",
+		"seed_rules": []string{"best way to get to"},
+		"budget":     20,
+		"seed":       5,
+	}, &solo); status != http.StatusCreated {
+		t.Fatalf("create solo labeler: status %d", status)
+	}
+	for q := 0; q < 6; q++ {
+		key, done := suggest(addr, solo)
+		if done {
+			break
+		}
+		if status := do(addr, "POST", "/v2/labelers/"+solo.ID+"/answers", map[string]any{
+			"answers": []map[string]any{{"key": key, "accept": q%2 == 0}},
+		}, nil); status != http.StatusOK {
+			t.Fatalf("solo answer: status %d", status)
+		}
+	}
+	labs = append(labs, solo)
+
+	// snapshot reads the shared and the solo report and every labeler's
+	// status.
 	snapshot := func(addr string) []any {
 		t.Helper()
-		paths := []string{"/v2/labelers/" + alice.ID + "/report", "/v2/labelers/" + alice.ID, "/v2/labelers/" + bob.ID}
+		paths := []string{
+			"/v2/labelers/" + alice.ID + "/report", "/v2/labelers/" + alice.ID, "/v2/labelers/" + bob.ID,
+			"/v2/labelers/" + solo.ID + "/report", "/v2/labelers/" + solo.ID,
+		}
 		out := make([]any, len(paths))
 		for i, path := range paths {
 			if status := do(addr, "GET", path, nil, &out[i]); status != http.StatusOK {
@@ -195,7 +224,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("report or labeler status changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
 	}
 
-	// The recovered workspace keeps serving: both annotators can step on.
+	// The recovered workspaces keep serving: every annotator can step on.
 	for _, lab := range labs {
 		if key, done := suggest(addr2, lab); !done && key == "" {
 			t.Fatalf("post-recovery suggestion for %s is empty", lab.Annotator)

@@ -3,15 +3,15 @@
 // and/or JSONL corpora written by cmd/datagen), builds a shared read-only
 // engine per dataset once at startup, and then hosts any number of
 // interactive labelers against them. The canonical surface is the versioned
-// /v2 API (one labeler resource for solo sessions and workspace
-// attachments alike — see internal/server and api/openapi.yaml). Go
+// /v2 API (one labeler resource: an annotator attached to a workspace, solo
+// labelers owning a fresh one — see internal/server and api/openapi.yaml). Go
 // programs should use the pkg/darwin SDK (darwin.NewClient) rather than raw
 // HTTP.
 //
 // Examples:
 //
 //	darwind -addr :8080 -datasets directions,musicians -scale 0.2
-//	darwind -corpus mydata.jsonl -budget 50 -session-ttl 15m
+//	darwind -corpus mydata.jsonl -budget 50 -workspace-ttl 15m
 //
 // A minimal interactive transcript (/v2):
 //
@@ -58,19 +58,16 @@ func main() {
 		corpusPath = flag.String("corpus", "", "path to a JSONL corpus written by cmd/datagen (served in addition to -datasets)")
 		scale      = flag.Float64("scale", 0.2, "synthetic dataset scale factor")
 		seed       = flag.Int64("seed", 1, "random seed for dataset generation and engine defaults")
-		budget     = flag.Int("budget", 100, "default oracle query budget per session")
+		budget     = flag.Int("budget", 100, "default oracle query budget per labeler")
 		candidates = flag.Int("candidates", 2000, "candidate rules generated per iteration")
 		sketchD    = flag.Int("sketch-depth", 5, "derivation sketch depth")
 		useTree    = flag.Bool("treematch", false, "enable the TreeMatch grammar (dependency-parse rules)")
-		ttl        = flag.Duration("session-ttl", server.DefaultSessionTTL, "evict sessions idle longer than this")
-		maxSess    = flag.Int("max-sessions", server.DefaultMaxSessions, "maximum number of live sessions")
-		journalP   = flag.String("journal", "", "path to the workspace event journal (enables durable multi-annotator workspaces with crash recovery)")
-		journalSes = flag.Bool("journal-sessions", false, "also journal plain (non-workspace) sessions to \"<-journal path>.sessions\" so they survive restarts (requires -journal)")
+		journalP   = flag.String("journal", "", "path to the workspace event journal (makes every labeler's workspace durable, with crash recovery)")
 		jobsDir    = flag.String("jobs-dir", "", "directory for async labeling jobs: job journal plus labeled JSONL outputs (empty disables /v2 labeling jobs)")
 		jobWorkers = flag.Int("job-workers", 2, "concurrent labeling-job workers")
 		jobTTL     = flag.Duration("job-ttl", time.Hour, "evict finished labeling jobs (and their outputs) this long after completion")
-		wsTTL      = flag.Duration("workspace-ttl", workspace.DefaultTTL, "evict workspaces idle longer than this")
-		maxWS      = flag.Int("max-workspaces", workspace.DefaultMaxWorkspaces, "maximum number of live workspaces")
+		wsTTL      = flag.Duration("workspace-ttl", workspace.DefaultTTL, "evict workspaces (solo labelers included) idle longer than this")
+		maxWS      = flag.Int("max-workspaces", workspace.DefaultMaxWorkspaces, "maximum number of live workspaces (solo labelers included)")
 		compactN   = flag.Int("compact-every", workspace.DefaultCompactEvery, "compact the journal after this many appends (negative disables)")
 		attachTTL  = flag.Duration("attachment-ttl", 0, "detach workspace annotators idle longer than this, journaled (0 disables; the workspace itself lives until -workspace-ttl)")
 		replSync   = flag.Bool("repl-sync", true, "when this shard streams its journal to a replication follower, gate answer acknowledgements on the follower's ack (degrades to async if the follower is down)")
@@ -109,11 +106,8 @@ func main() {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	srv, err := server.New(server.Config{
-		SessionTTL:             *ttl,
-		MaxSessions:            *maxSess,
 		DefaultBudget:          *budget,
 		JournalPath:            *journalP,
-		JournalSessions:        *journalSes,
 		JobsDir:                *jobsDir,
 		JobWorkers:             *jobWorkers,
 		JobTTL:                 *jobTTL,
@@ -141,7 +135,6 @@ func main() {
 	}
 
 	stop := make(chan struct{})
-	go srv.Store().Janitor(time.Minute, stop)
 	go srv.Workspaces().Janitor(time.Minute, stop)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -186,7 +179,7 @@ func main() {
 }
 
 // buildDataset preprocesses the corpus and builds the shared engine, logging
-// the one-time cost that every session then amortizes.
+// the one-time cost that every labeler then amortizes.
 func buildDataset(name string, c *corpus.Corpus, seed int64, budget, candidates, sketchDepth, featCacheCap int, useTree bool) *server.Dataset {
 	grams := []grammar.Grammar{tokensregex.New()}
 	if useTree {

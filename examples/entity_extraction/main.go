@@ -2,7 +2,8 @@
 // couple of labeled example sentences instead of a seed rule, and compare
 // the three traversal strategies (LocalSearch, UniversalSearch,
 // HybridSearch) — the §4.3 experiment in miniature, driven through the
-// public SDK's in-process labeler (darwin.NewSession).
+// public SDK's in-process solo labeler (darwin.NewSession, a one-annotator
+// workspace that steps the engine's configured traversal).
 //
 //	go run ./examples/entity_extraction
 package main

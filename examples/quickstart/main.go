@@ -6,8 +6,9 @@
 // sentences, answer, repeat. A simulated annotator (the ground-truth oracle
 // of §4.1) plays the human: it accepts a rule when at least 80% of the
 // sample sentences shown with it are true positives, exactly the judgement
-// call of Figure 2. Swap darwin.NewClient for darwin.NewSession and the loop
-// runs in-process against the same engine, unchanged.
+// call of Figure 2. Swap darwin.NewClient for darwin.NewSession and the same
+// one-annotator workspace loop runs in-process against the engine,
+// unchanged.
 //
 //	go run ./examples/quickstart
 package main

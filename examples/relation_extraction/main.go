@@ -3,9 +3,10 @@
 // tree (child '/', descendant '//' and conjunction '∧' operators) — the kind
 // of heuristic that phrase-mining systems such as Snuba cannot express.
 //
-// The discovery loop runs through the public SDK's in-process labeler
-// (darwin.NewSession): the same darwin.Labeler loop as the HTTP examples,
-// with no server in between — the engine is dialed directly.
+// The discovery loop runs through the public SDK's in-process solo labeler
+// (darwin.NewSession, a one-annotator workspace): the same darwin.Labeler
+// loop as the HTTP examples, with no server in between — the engine is
+// dialed directly.
 //
 //	go run ./examples/relation_extraction
 package main

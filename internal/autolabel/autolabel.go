@@ -76,8 +76,8 @@ type Spec struct {
 	// mark a sentence as a known non-match.
 	NegativeRules []string `json:"negative_rules,omitempty"`
 	// Labeler, when set on a create request, pulls the accepted rules of
-	// this live labeler (session or workspace attachment) and appends them
-	// to Rules. The serving layer resolves it at submit time and clears it.
+	// this live labeler (solo or shared-workspace attachment) and appends
+	// them to Rules. The serving layer resolves it at submit time and clears it.
 	Labeler string `json:"labeler,omitempty"`
 	// Aggregator is "majority" (default) or "generative".
 	Aggregator string `json:"aggregator,omitempty"`

@@ -13,7 +13,7 @@ import (
 )
 
 // Classifier telemetry: the feature cache's hit ratio is what makes
-// concurrent sessions affordable (a miss featurizes a sentence from scratch),
+// concurrent workspaces affordable (a miss featurizes a sentence from scratch),
 // and Fit is the per-accept retraining cost.
 var (
 	featureCacheHits = obs.Default().Counter("darwin_classifier_feature_cache_hits_total",
@@ -58,7 +58,7 @@ type SentenceClassifier struct {
 	// cache holds each sentence's feature vector in sparse form. By default
 	// it is private to this classifier; classifiers over one shared corpus
 	// and embedding model should share a single cache via ShareFeatureCache
-	// so concurrent sessions do not each featurize the whole corpus.
+	// so concurrent workspaces do not each featurize the whole corpus.
 	cache   *FeatureCache
 	scratch []float64
 }
@@ -77,7 +77,7 @@ type sparseFeatures struct {
 // recomputes the identical deterministic entry — slot claim is a CAS, first
 // store wins). The cache depends only on the corpus tokens, the embedding
 // model and the hash dimension, all immutable after engine construction, so
-// one cache is shared at corpus level across every session of an engine.
+// one cache is shared at corpus level across every workspace of an engine.
 //
 // An optional entry cap bounds memory on large corpora (each entry costs
 // roughly 0.5 KB): once cap entries are published, later sentences are

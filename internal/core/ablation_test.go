@@ -1,8 +1,9 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/eval"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/tokensregex"
 	"repro/internal/treematch"
+	"repro/internal/workspace"
 )
 
 // The ablation tests exercise the design choices DESIGN.md calls out: the
@@ -26,18 +28,18 @@ func ablationCorpus(t *testing.T) *corpus.Corpus {
 	return c
 }
 
-func runWith(t *testing.T, c *corpus.Corpus, mutate func(*Config)) *Report {
+func runWith(t *testing.T, c *corpus.Corpus, mutate func(*core.Config)) *core.Report {
 	t.Helper()
-	cfg := fastConfig("hybrid")
+	cfg := core.FastConfig("hybrid")
 	cfg.Budget = 25
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := New(c, cfg)
+	e, err := core.New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(c)})
+	rep, err := workspace.Run(e, workspace.RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(c)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +48,10 @@ func runWith(t *testing.T, c *corpus.Corpus, mutate func(*Config)) *Report {
 
 func TestAblationGrammarChoice(t *testing.T) {
 	c := ablationCorpus(t)
-	tokensOnly := runWith(t, c, func(cfg *Config) {
+	tokensOnly := runWith(t, c, func(cfg *core.Config) {
 		cfg.Grammars = []grammar.Grammar{tokensregex.New()}
 	})
-	both := runWith(t, c, func(cfg *Config) {
+	both := runWith(t, c, func(cfg *core.Config) {
 		cfg.Grammars = []grammar.Grammar{tokensregex.New(), treematch.New()}
 	})
 	if eval.CoverageOfSet(c, tokensOnly.Positives) <= 0 {
@@ -59,7 +61,7 @@ func TestAblationGrammarChoice(t *testing.T) {
 		t.Error("TokensRegex+TreeMatch run discovered nothing")
 	}
 	// With both grammars registered, TreeMatch rules exist in the index.
-	e, err := New(c, fastConfig("hybrid"))
+	e, err := core.New(c, core.FastConfig("hybrid"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +70,8 @@ func TestAblationGrammarChoice(t *testing.T) {
 
 func TestAblationCandidateBudget(t *testing.T) {
 	c := ablationCorpus(t)
-	small := runWith(t, c, func(cfg *Config) { cfg.NumCandidates = 50 })
-	large := runWith(t, c, func(cfg *Config) { cfg.NumCandidates = 800 })
+	small := runWith(t, c, func(cfg *core.Config) { cfg.NumCandidates = 50 })
+	large := runWith(t, c, func(cfg *core.Config) { cfg.NumCandidates = 800 })
 	// Figure 13's claim: performance is not overly sensitive to the candidate
 	// budget; both runs must make real progress.
 	covSmall := eval.CoverageOfSet(c, small.Positives)
@@ -84,14 +86,14 @@ func TestAblationOracleThreshold(t *testing.T) {
 	strict := oracle.GroundTruth{Corpus: c, Threshold: 0.95}
 	lax := oracle.GroundTruth{Corpus: c, Threshold: 0.5}
 
-	cfg := fastConfig("hybrid")
+	cfg := core.FastConfig("hybrid")
 	cfg.Budget = 25
-	runOracle := func(o oracle.Oracle) *Report {
-		e, err := New(c, cfg)
+	runOracle := func(o oracle.Oracle) *core.Report {
+		e, err := core.New(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: o})
+		rep, err := workspace.Run(e, workspace.RunOptions{SeedRules: []string{"best way to get to"}, Oracle: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +115,7 @@ func TestAblationOracleThreshold(t *testing.T) {
 
 func TestAblationNoEmbeddings(t *testing.T) {
 	c := ablationCorpus(t)
-	noEmb := runWith(t, c, func(cfg *Config) { cfg.Embedding.Dim = 0 })
+	noEmb := runWith(t, c, func(cfg *core.Config) { cfg.Embedding.Dim = 0 })
 	if len(noEmb.Positives) == 0 {
 		t.Error("bag-of-words-only configuration discovered nothing")
 	}

@@ -4,33 +4,36 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
+	"repro/internal/traversal"
 )
 
-// This file is the attach/detach contract for external session-like drivers
-// — multi-annotator workspaces (internal/workspace) — that own their mutable
-// discovery state (positive set, classifier, scores) but attach to the
-// engine's shared immutable corpus, index, embedding model and feature
-// cache. The hooks mirror exactly what Session uses internally, so a driver
-// built on them inherits the engine's concurrency contract: shared state is
-// only read under WithIndexRead, and the single post-build index mutation
-// (seed-rule materialization) goes through MaterializeRule.
+// This file is the attach contract for the discovery loop — workspaces
+// (internal/workspace) — which owns its mutable state (positive set,
+// classifier, scores, traversal) but attaches to the engine's shared
+// corpus, index, embedding model and feature cache. A loop built on these
+// hooks inherits the engine's concurrency contract: shared state is only
+// read under WithIndexRead, and the post-build index mutations go through
+// MaterializeRule and Ingest.
 
 // AttachClassifier returns a fresh classifier over the engine's corpus and
-// embedding model, sharing the engine's corpus-level feature cache, exactly
-// as NewSession builds one. An explicit Config.Classifier.Seed still wins
-// over the given seed, matching NewSession.
+// embedding model, sharing the engine's corpus-level feature cache. An
+// explicit Config.Classifier.Seed wins over the given seed.
 func (e *Engine) AttachClassifier(seed int64) *classifier.SentenceClassifier {
 	clfCfg := e.cfg.Classifier
 	if clfCfg.Seed == 0 {
 		clfCfg.Seed = seed
 	}
 	clf := classifier.NewSentenceClassifier(e.corp, e.emb, clfCfg, e.cfg.ClassifierKind)
+	// The cache's eligibility check reads the corpus length, which a
+	// concurrent ingest grows under the write lock.
+	e.ixMu.RLock()
 	clf.ShareFeatureCache(e.featCache)
+	e.ixMu.RUnlock()
 	return clf
 }
 
 // WithIndexRead runs f with the shared index under the engine's read lock,
-// the same lock Session.Next holds while generating hierarchies and scoring
+// the lock every loop step holds while generating hierarchies and scoring
 // candidates. f must not retain the index or mutate it.
 //
 //darwin:lockrank-callback index
@@ -40,7 +43,14 @@ func (e *Engine) WithIndexRead(f func(ix *index.Index)) {
 	f(e.ix)
 }
 
-// HierarchyConfig returns the hierarchy-generation settings sessions use.
+// NewTraversal builds the engine's configured traversal strategy (Local,
+// Universal or Hybrid, with the configured τ), seeded with the given rule
+// keys.
+func (e *Engine) NewTraversal(seedKeys ...string) traversal.Traversal {
+	return traversal.New(e.cfg.Traversal, e.cfg.Tau, seedKeys...)
+}
+
+// HierarchyConfig returns the hierarchy-generation settings of the engine config.
 func (e *Engine) HierarchyConfig() hierarchy.Config { return e.cfg.hierarchyConfig() }
 
 // LazyScoring returns the §4.5 lazy re-scoring settings (enabled, threshold).
@@ -59,7 +69,7 @@ func (e *Engine) DefaultSeed() int64 { return e.cfg.Seed }
 
 // SetMaterializeHook registers f to be called — under the engine's index
 // write lock, in mutation order — with the rule specs of every seed-rule
-// materialization (NewSession seed rules and MaterializeRule). A journaling
+// materialization (MaterializeRule). A journaling
 // layer uses it to record index mutations in the exact order concurrent
 // readers observed them, which is what makes replay deterministic: the hook
 // and the hierarchy-generating read paths are serialized by the same lock.

@@ -1,7 +1,10 @@
-// Package core implements the end-to-end Darwin engine of Algorithm 1: index
-// construction, iterative hierarchy generation, traversal, oracle querying and
-// score updates, producing a set of accepted labeling rules, the discovered
-// positive set, and a trained classifier.
+// Package core implements the Darwin engine: the shared state Algorithm 1
+// runs over — the preprocessed corpus, grammar registry, word embeddings,
+// sketch index and feature cache — built once per corpus and grown by
+// ingest. The loop itself (hierarchy generation, traversal, oracle queries,
+// classifier and score updates) lives in internal/workspace, whose
+// workspaces attach to an engine; workspace.Run drives a batch run and
+// reports it as a core.Report.
 package core
 
 import (
@@ -39,10 +42,6 @@ type Config struct {
 	Traversal string
 	// Tau is the HybridSearch switching parameter τ (default 5).
 	Tau int
-	// CustomTraversal, when non-nil, overrides Traversal (used by the HighP
-	// and HighC baselines, which plug in alternative selection strategies).
-	CustomTraversal traversal.Traversal
-
 	// Classifier configures the p_s estimator.
 	Classifier classifier.Config
 	// ClassifierKind selects logistic regression (default) or MLP.
@@ -63,7 +62,7 @@ type Config struct {
 	OracleSampleSize int
 
 	// FeatureCacheCap bounds the corpus-level sparse feature cache shared by
-	// every session's classifier (entries cost ~0.5 KB/sentence; 0 caches
+	// every workspace's classifier (entries cost ~0.5 KB/sentence; 0 caches
 	// the whole corpus). Sentences beyond the cap are featurized on the fly,
 	// bit-identically, so the cap trades CPU for memory without changing any
 	// score.

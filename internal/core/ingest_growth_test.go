@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,17 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/classifier"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
 	"repro/internal/ingest"
 	"repro/internal/tokensregex"
+	"repro/internal/workspace"
 )
 
 // TestGrowthUnderConcurrentAnnotation is the scale acceptance bar: a corpus
 // boots at ~1K sentences and grows past 100K by live ingestion while
-// annotator sessions keep stepping, with no engine rebuild (the index
+// annotators keep stepping, with no engine rebuild (the index
 // object stays the same, only its version moves) and no acknowledged answer
-// lost. Run with -race this is also the locking proof for the whole
+// lost. Each annotator steps its own one-annotator workspace. Run with -race this is also the locking proof for the whole
 // ingest-vs-read surface.
 func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 	if testing.Short() {
@@ -31,7 +33,7 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 	if boot < 500 || boot > 2000 {
 		t.Fatalf("boot corpus has %d sentences, want ~1K", boot)
 	}
-	eng, err := New(c, Config{
+	eng, err := core.New(c, core.Config{
 		Grammars:        []grammar.Grammar{tokensregex.New()},
 		SketchDepth:     3,
 		MaxRuleDepth:    6,
@@ -63,21 +65,28 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 					return
 				default:
 				}
-				s, err := eng.NewSession(SessionOptions{
+				ws, err := workspace.New(eng, "grow", "directions", workspace.Options{
 					SeedRules: []string{"best way to get to"},
 					Budget:    8,
 					Seed:      int64(w*1000 + round + 1),
-				})
+				}, nil)
+				if err == nil {
+					err = ws.Attach(solo)
+				}
 				if err != nil {
-					t.Errorf("worker %d: NewSession: %v", w, err)
+					t.Errorf("worker %d: new workspace: %v", w, err)
 					return
 				}
 				for {
-					sug, ok := s.Next()
+					sug, ok, err := ws.Suggest(solo)
+					if err != nil {
+						t.Errorf("worker %d: Suggest: %v", w, err)
+						return
+					}
 					if !ok {
 						break
 					}
-					if _, err := s.Answer(sug.Key, answered.Add(1)%3 == 0); err != nil {
+					if _, err := ws.Answer(solo, sug.Key, answered.Add(1)%3 == 0); err != nil {
 						t.Errorf("worker %d: Answer: %v", w, err)
 						return
 					}
@@ -123,15 +132,14 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 	if answered.Load() == 0 {
 		t.Fatal("no annotation traffic ran during growth")
 	}
-	// A session created after all growth sees the full corpus: its seed
+	// A workspace created after all growth sees the full corpus: its seed
 	// rule's coverage spans ingested sentences.
-	s, err := eng.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 4, Seed: 99})
+	ws, err := workspace.New(eng, "late", "directions", workspace.Options{SeedRules: []string{"best way to get to"}, Budget: 4, Seed: 99}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Report()
-	if len(rep.Positives) < batchNum*250 {
-		t.Errorf("post-growth session found %d positives, want >= %d from ingested sentences",
-			len(rep.Positives), batchNum*250)
+	if got := ws.Report().PositiveCount; got < batchNum*250 {
+		t.Errorf("post-growth workspace found %d positives, want >= %d from ingested sentences",
+			got, batchNum*250)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/classifier"
 	"repro/internal/corpus"
@@ -21,8 +20,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // rule coverage resolves through the CoverageBits corpus-scan fallback, so
 // construction is O(preprocess) instead of O(index build). The result
 // supports exactly the batch pipeline surface (ParseRule, CoverageBits,
-// CorpusView, CorpusLen); interactive discovery (SuggestRules, sessions)
-// needs the full New constructor.
+// CorpusView, CorpusLen); interactive discovery (workspaces) needs the
+// full New constructor.
 func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	if c == nil || c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty corpus")
@@ -33,29 +32,14 @@ func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	ix := index.New()
 	ix.SetKernel(cfg.Kernel)
 
-	clfCfg := cfg.Classifier
-	if clfCfg.Seed == 0 {
-		clfCfg.Seed = cfg.Seed
-	}
-	featCache := classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap)
-	clf := classifier.NewSentenceClassifier(c, nil, clfCfg, cfg.ClassifierKind)
-	clf.ShareFeatureCache(featCache)
-
-	e := &Engine{
+	return &Engine{
 		cfg:       cfg,
 		corp:      c,
 		reg:       reg,
 		ix:        ix,
-		clf:       clf,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		featCache: featCache,
+		featCache: classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap),
 		bootLen:   c.Len(),
-	}
-	e.scores = make([]float64, c.Len())
-	for i := range e.scores {
-		e.scores[i] = 0.5
-	}
-	return e, nil
+	}, nil
 }
 
 // NewStreamingFromBatch builds a streaming engine directly from decoded wire

@@ -11,6 +11,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/oracle"
 	"repro/internal/traversal"
+	"repro/internal/workspace"
 )
 
 // newRand returns a seeded random source for experiment-level sampling.
@@ -41,11 +42,11 @@ type DarwinRun struct {
 	// Method names the technique ("darwin-hs", "darwin-us", "darwin-ls",
 	// "highP", "highC", ...).
 	Method string
-	// Report is the engine's run report.
+	// Report is the run report.
 	Report *core.Report
 	// Coverage is the per-question fraction of gold positives discovered.
 	Coverage eval.Curve
-	// FScore is the per-question best-F1 of the engine's classifier.
+	// FScore is the per-question best-F1 of the run's classifier.
 	FScore eval.Curve
 }
 
@@ -54,9 +55,6 @@ type DarwinRun struct {
 func runDarwin(c *corpus.Corpus, cfg core.Config, method string, custom traversal.Traversal,
 	seedRules []string, seedIDs []int, o oracle.Oracle, evalEvery int) (DarwinRun, error) {
 
-	if custom != nil {
-		cfg.CustomTraversal = custom
-	}
 	engine, err := core.New(c, cfg)
 	if err != nil {
 		return DarwinRun{}, fmt.Errorf("experiments: %s: %w", method, err)
@@ -68,13 +66,14 @@ func runDarwin(c *corpus.Corpus, cfg core.Config, method string, custom traversa
 	if evalEvery <= 0 {
 		evalEvery = 10
 	}
-	report, err := engine.Run(core.RunOptions{
+	report, err := workspace.Run(engine, workspace.RunOptions{
 		SeedRules:       seedRules,
 		SeedPositiveIDs: seedIDs,
 		Oracle:          o,
-		OnQuery: func(rec core.RuleRecord, e *core.Engine) {
+		Traversal:       custom,
+		OnQuery: func(rec core.RuleRecord, scores []float64) {
 			if rec.Question%evalEvery == 0 || rec.Question == cfg.Budget {
-				f1, _ := eval.BestF1(c, e.Scores())
+				f1, _ := eval.BestF1(c, scores)
 				run.FScore.Points = append(run.FScore.Points, eval.CurvePoint{Questions: rec.Question, Value: f1})
 			}
 		},

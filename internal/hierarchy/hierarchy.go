@@ -26,8 +26,8 @@ import (
 )
 
 // Hierarchy regeneration is the dominant cost of a suggest step whenever the
-// positive set changed; every interactive caller (solo sessions and shared
-// workspaces) funnels through GenerateBits, so one counter + histogram here
+// positive set changed; every interactive caller (workspaces, solo or
+// shared) funnels through GenerateBits, so one counter + histogram here
 // covers the fleet.
 var (
 	regensTotal = obs.Default().Counter("darwin_hierarchy_regens_total",
@@ -462,7 +462,7 @@ func Generate(ix *index.Index, positives map[int]bool, cfg Config) *Hierarchy {
 }
 
 // GenerateBits is Generate over a bitset positive set — the interactive hot
-// path entry point (sessions maintain their positive set as a bitset and
+// path entry point (workspaces maintain their positive set as a bitset and
 // pass it here without conversion).
 func GenerateBits(ix *index.Index, positives bitset.Set, cfg Config) *Hierarchy {
 	defer regenDurations.ObserveSince(time.Now())

@@ -132,7 +132,7 @@ type Index struct {
 	edgesBuilt bool
 	// keys is the sorted key cache, valid while edgesBuilt.
 	keys []string
-	// version counts mutations; sessions use it to detect that a cached
+	// version counts mutations; workspaces use it to detect that a cached
 	// hierarchy may be stale because the shared index grew.
 	version uint64
 	// adhoc lists the nodes EnsureHeuristic materialized by corpus scan, the

@@ -42,7 +42,7 @@ const (
 
 // enabled is the process-wide collection switch (default on). It exists for
 // one consumer: the benchrunner overhead experiment, which measures the
-// same scripted session with collection off and on to bound instrumentation
+// same scripted labeler with collection off and on to bound instrumentation
 // cost. Serving code never flips it.
 var enabledFlag atomic.Bool
 

@@ -4,10 +4,10 @@
 // once and amortized across every labeler.
 //
 // The canonical surface is the versioned /v2 API: one handler set generated
-// over the public pkg/darwin Labeler interface, serving solo sessions and
-// workspace attachments uniformly as "labelers", with a uniform JSON error
-// envelope {code, message, retryable}, batch answers, and paginated list
-// endpoints (see v2.go and api/openapi.yaml):
+// over the public pkg/darwin Labeler interface, serving every labeler as one
+// annotator attached to a workspace, with a uniform JSON error envelope
+// {code, message, retryable}, batch answers, and paginated list endpoints
+// (see v2.go and api/openapi.yaml):
 //
 //	GET    /v2/datasets                     served datasets (paginated)
 //	POST   /v2/labelers                     create {dataset, mode, ...}
@@ -17,12 +17,14 @@
 //	POST   /v2/labelers/{id}/answers        {answers: [{key, accept}...]} batch
 //	GET    /v2/labelers/{id}/report         deterministic discovery report
 //	GET    /v2/labelers/{id}/export         JSONL labeled corpus
-//	DELETE /v2/labelers/{id}                close (delete session / detach annotator)
+//	DELETE /v2/labelers/{id}                close (detach; frees an unjoined solo workspace)
 //
-// Workspace-mode labelers are annotators attached to a shared
-// multi-annotator workspace, durable when a journal is configured (see
-// internal/workspace and internal/journal). Outside /v2 the server answers
-// only GET /healthz (liveness + dataset/session counts) and GET /metrics.
+// A solo labeler (mode "session") is a fresh workspace with one annotator;
+// a workspace-mode labeler may also join an existing workspace. Either way
+// the workspace manager owns it: journaled when a journal is configured,
+// replicated, TTL-swept and capped (see internal/workspace and
+// internal/journal). Outside /v2 the server answers only GET /healthz
+// (liveness, dataset/workspace counts, suggest latency) and GET /metrics.
 //
 // When Config.Token is set, every /v2/* endpoint requires
 // "Authorization: Bearer <token>" (healthz and metrics stay open);
@@ -31,7 +33,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,8 +51,8 @@ import (
 )
 
 // Dataset is one corpus served by the server: a name and the shared engine
-// built over it. The engine (and the corpus and index behind it) must not be
-// mutated after the server starts; sessions only read it.
+// built over it. The engine (and the corpus and index behind it) is only
+// mutated through its own locked entry points (ingest, materialization).
 type Dataset struct {
 	Name   string
 	Engine *core.Engine
@@ -59,11 +60,7 @@ type Dataset struct {
 
 // Config tunes the server.
 type Config struct {
-	// SessionTTL evicts sessions idle longer than this (default 30m).
-	SessionTTL time.Duration
-	// MaxSessions bounds the number of live sessions (default 1024).
-	MaxSessions int
-	// DefaultBudget is used for sessions that do not request a budget
+	// DefaultBudget is used for labelers that do not request a budget
 	// (0 keeps each engine's configured budget).
 	DefaultBudget int
 	// MaxSeedRules bounds how many seed rules one create request may carry
@@ -75,9 +72,11 @@ type Config struct {
 	// workspace event is appended to this JSONL write-ahead log, and New
 	// replays it to recover workspaces from a previous process.
 	JournalPath string
-	// WorkspaceTTL evicts workspaces idle longer than this (default 2h).
+	// WorkspaceTTL evicts workspaces — solo labelers included — idle longer
+	// than this (default 2h).
 	WorkspaceTTL time.Duration
-	// MaxWorkspaces bounds the number of live workspaces (default 256).
+	// MaxWorkspaces bounds the number of live workspaces, solo labelers
+	// included (default 1024).
 	MaxWorkspaces int
 	// CompactEvery compacts the journal (snapshot+truncate) after this many
 	// appends (default 4096; negative disables).
@@ -96,11 +95,6 @@ type Config struct {
 	JobWorkers int
 	// JobTTL retains terminal labeling jobs and their outputs (default 1h).
 	JobTTL time.Duration
-
-	// JournalSessions additionally journals plain (non-workspace) session
-	// lifecycle and answers into "<JournalPath>.sessions", so solo sessions
-	// recover across a restart like workspaces do. Requires JournalPath.
-	JournalSessions bool
 
 	// ReplicationSync blocks acknowledged workspace writes until the
 	// dataset's replication follower acks them (bounded by
@@ -135,7 +129,6 @@ type Server struct {
 	handler  http.Handler // mux wrapped with auth / rate-limit middleware
 	routes   []string     // every registered "METHOD /pattern", sorted
 	datasets map[string]*Dataset
-	store    *Store
 	mgr      *workspace.Manager
 	labelers *labelerRegistry
 	recovery workspace.RecoveryStats
@@ -145,9 +138,6 @@ type Server struct {
 	// jobs is the labeling-job manager (nil without Config.JobsDir; the job
 	// endpoints then answer 503).
 	jobs *autolabel.Manager
-	// sessJournal journals solo-session events when Config.JournalSessions
-	// is set (nil otherwise).
-	sessJournal *sessionJournal
 }
 
 // New creates a server over the given datasets. When Config.JournalPath is
@@ -157,9 +147,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	if len(datasets) == 0 {
 		return nil, errors.New("server: at least one dataset is required")
 	}
-	if cfg.JournalSessions && cfg.JournalPath == "" {
-		return nil, errors.New("server: JournalSessions requires JournalPath")
-	}
 	if cfg.MaxSeedRules <= 0 {
 		cfg.MaxSeedRules = 16
 	}
@@ -167,7 +154,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		datasets: make(map[string]*Dataset, len(datasets)),
-		store:    NewStore(cfg.SessionTTL, cfg.MaxSessions),
 		labelers: newLabelerRegistry(),
 	}
 	engines := make(map[string]*core.Engine, len(datasets))
@@ -226,13 +212,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		_ = s.Close()
 		return nil, err
 	}
-	if cfg.JournalSessions {
-		sj, err := openSessionJournal(cfg.JournalPath+".sessions", s)
-		if err != nil {
-			return fail(err)
-		}
-		s.sessJournal = sj
-	}
 	if cfg.JobsDir != "" {
 		jobs, err := autolabel.NewManager(autolabel.ManagerConfig{
 			Dir:     cfg.JobsDir,
@@ -260,9 +239,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	// Live-object gauges are callbacks so /metrics and /healthz read the
 	// same stores at scrape time. Last registration wins, so repeated server
 	// construction in tests tracks the newest instance.
-	obs.Default().GaugeFunc("darwin_sessions_live",
-		"Live solo sessions in the store.",
-		func() float64 { return float64(s.store.Len()) })
 	obs.Default().GaugeFunc("darwin_workspaces_live",
 		"Live workspaces in the manager.",
 		func() float64 { return float64(s.mgr.Len()) })
@@ -291,9 +267,6 @@ func (s *Server) Routes() []string {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Store exposes the session store (for the janitor and diagnostics).
-func (s *Server) Store() *Store { return s.store }
-
 // Workspaces exposes the workspace manager (janitor, shutdown flush,
 // diagnostics).
 func (s *Server) Workspaces() *workspace.Manager { return s.mgr }
@@ -309,11 +282,6 @@ func (s *Server) Close() error {
 		// record, so the next process re-runs it to the identical bytes.
 		if err := s.jobs.Close(); err != nil {
 			log.Printf("server: close job manager: %v", err)
-		}
-	}
-	if s.sessJournal != nil {
-		if err := s.sessJournal.Close(); err != nil {
-			log.Printf("server: close session journal: %v", err)
 		}
 	}
 	if s.repl != nil {
@@ -339,12 +307,11 @@ func (s *Server) DatasetNames() []string {
 type healthJSON struct {
 	Status     string   `json:"status"`
 	Datasets   []string `json:"datasets"`
-	Sessions   int      `json:"sessions"`
 	Workspaces int      `json:"workspaces"`
 	// Recovered counts workspaces replayed from the journal at startup.
 	Recovered int `json:"recovered,omitempty"`
-	// Step-latency aggregate across every suggest call served (wall-clock of
-	// the suggest step as seen by the handler).
+	// Step-latency aggregate across every workspace suggest served (read
+	// from the darwin_workspace_suggest_duration_seconds histogram).
 	Steps          int64   `json:"steps"`
 	LastStepMillis float64 `json:"last_step_ms"`
 	AvgStepMillis  float64 `json:"avg_step_ms"`
@@ -357,11 +324,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	steps, last, avg := s.store.StepStats()
+	steps, last, avg := workspace.SuggestStats()
 	writeJSON(w, http.StatusOK, healthJSON{
 		Status:         "ok",
 		Datasets:       s.DatasetNames(),
-		Sessions:       s.store.Len(),
 		Workspaces:     s.mgr.Len(),
 		Recovered:      s.recovery.Workspaces,
 		Steps:          steps,
@@ -372,19 +338,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func millis(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-// deleteSession closes and removes a session labeler, journaling the delete
-// when session journaling is on.
-func (s *Server) deleteSession(ctx context.Context, id string) bool {
-	en, ok := s.store.Get(id)
-	if !ok {
-		return false
-	}
-	_ = en.lab.Close(ctx)
-	deleted := s.store.Delete(id)
-	if deleted && s.sessJournal != nil {
-		s.sessJournal.recordDelete(id)
-	}
-	return deleted
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -261,12 +260,16 @@ func TestEndToEndInteractiveSession(t *testing.T) {
 		t.Fatalf("export labeled %d sentences, report says %d", labeled, rep.Positives)
 	}
 
-	// Deleting the session makes it unreachable.
+	// Deleting the solo labeler makes it unreachable.
 	if status := doJSON(t, ts, http.MethodDelete, "/v2/labelers/"+id, nil, nil); status != http.StatusNoContent {
 		t.Fatalf("delete: status %d", status)
 	}
 	if status := doJSON(t, ts, http.MethodGet, "/v2/labelers/"+id+"/report", nil, nil); status != http.StatusNotFound {
 		t.Fatalf("report after delete: status %d", status)
+	}
+	// Nobody joined the solo labeler's workspace, so the delete freed it.
+	if got := srv.Workspaces().Len(); got != 0 {
+		t.Fatalf("%d workspaces live after deleting the only solo labeler", got)
 	}
 }
 
@@ -302,8 +305,9 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 			t.Errorf("worker %d asked no questions", w)
 		}
 	}
-	if got := srv.Store().Len(); got != workers {
-		t.Errorf("store has %d sessions, want %d", got, workers)
+	// Every solo labeler is its own one-annotator workspace.
+	if got := srv.Workspaces().Len(); got != workers {
+		t.Errorf("manager has %d workspaces, want %d", got, workers)
 	}
 }
 
@@ -322,22 +326,33 @@ func createSession(t *testing.T, ts *httptest.Server, budget int) darwin.Status 
 	return created
 }
 
+// TestSessionTTLExpiry pins that a solo labeler's workspace is TTL-swept
+// like every workspace: the manager's janitor evicts it once idle past
+// WorkspaceTTL, and the labeler then answers 404.
 func TestSessionTTLExpiry(t *testing.T) {
-	srv, _ := newTestServer(t, Config{SessionTTL: time.Minute})
+	srv, _ := newTestServer(t, Config{WorkspaceTTL: 50 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	created := createSession(t, ts, 5)
-
-	// Advance the store's clock past the TTL; the session must be gone both
-	// via lazy Get eviction and via an explicit sweep.
-	srv.Store().now = func() time.Time { return time.Now().Add(2 * time.Minute) }
-	if _, _, status := suggestion(t, ts, created.ID); status != http.StatusNotFound {
-		t.Fatalf("expired session answered with status %d", status)
+	if created.Mode != darwin.ModeWorkspace || created.Workspace == "" || created.Annotator != darwin.SoloAnnotator {
+		t.Fatalf("solo labeler status = %+v, want a workspace attachment of %q", created, darwin.SoloAnnotator)
 	}
-	srv.Store().Sweep()
-	if got := srv.Store().Len(); got != 0 {
-		t.Errorf("store still holds %d sessions after sweep", got)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { srv.Workspaces().Janitor(5*time.Millisecond, stop); close(done) }()
+	deadline := time.After(5 * time.Second)
+	for srv.Workspaces().Len() != 0 {
+		select {
+		case <-deadline:
+			t.Fatal("janitor never swept the idle solo labeler")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	close(stop)
+	<-done
+	if _, _, status := suggestion(t, ts, created.ID); status != http.StatusNotFound {
+		t.Fatalf("expired labeler answered with status %d", status)
 	}
 }
 
@@ -391,8 +406,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-func TestStoreCapacity(t *testing.T) {
-	srv, _ := newTestServer(t, Config{MaxSessions: 2})
+// TestSoloLabelerCapacity pins that solo labelers count against
+// MaxWorkspaces, and a create beyond it is refused as unavailable.
+func TestSoloLabelerCapacity(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxWorkspaces: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -430,8 +447,7 @@ func TestNewServerValidation(t *testing.T) {
 
 // TestNewClosesWhatItOpenedOnError pins that a New failing after the
 // workspace journal opened closes everything it had opened so far (journal
-// writer, replication node, session journal) instead of leaking their
-// descriptors.
+// writer, replication node) instead of leaking their descriptors.
 func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 	if _, err := os.Stat("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd to count open descriptors")
@@ -439,11 +455,7 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	d := srv.datasets["directions"]
 	dir := t.TempDir()
-	// A directory where the session journal file belongs, and a regular
-	// file where the jobs directory belongs, make the respective opens fail.
-	if err := os.Mkdir(filepath.Join(dir, "a.jsonl.sessions"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// A regular file where the jobs directory belongs makes its open fail.
 	jobsFile := filepath.Join(dir, "jobs")
 	if err := os.WriteFile(jobsFile, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -459,8 +471,7 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"session journal", Config{JournalPath: filepath.Join(dir, "a.jsonl"), JournalSessions: true}},
-		{"jobs dir", Config{JournalPath: filepath.Join(dir, "b.jsonl"), JournalSessions: true, JobsDir: jobsFile}},
+		{"jobs dir", Config{JournalPath: filepath.Join(dir, "b.jsonl"), JobsDir: jobsFile}},
 	}
 	for _, tc := range cases {
 		before := openFDs()
@@ -470,57 +481,5 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 		if leaked := openFDs() - before; leaked != 0 {
 			t.Errorf("%s: failing New left %d descriptors open", tc.name, leaked)
 		}
-	}
-}
-
-func TestStoreSweepAndJanitor(t *testing.T) {
-	st := NewStore(time.Millisecond, 10)
-	if _, err := st.Create("d", nil); err != nil {
-		t.Fatal(err)
-	}
-	base := time.Now()
-	st.now = func() time.Time { return base.Add(time.Second) }
-	if n := st.Sweep(); n != 1 {
-		t.Errorf("sweep evicted %d, want 1", n)
-	}
-	if st.Len() != 0 {
-		t.Errorf("store not empty after sweep")
-	}
-
-	// The janitor sweeps periodically until stopped.
-	if _, err := st.Create("d", nil); err != nil {
-		t.Fatal(err)
-	}
-	st.now = func() time.Time { return base.Add(2 * time.Second) }
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { st.Janitor(5*time.Millisecond, stop); close(done) }()
-	deadline := time.After(2 * time.Second)
-	for st.Len() != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("janitor never swept the expired session")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	close(stop)
-	<-done
-}
-
-func TestStoreIDsAreUnique(t *testing.T) {
-	st := NewStore(time.Minute, 100)
-	seen := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		en, err := st.Create(fmt.Sprintf("d%d", i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(en.id) != 32 {
-			t.Fatalf("id %q is not 32 hex chars", en.id)
-		}
-		if seen[en.id] {
-			t.Fatalf("duplicate id %q", en.id)
-		}
-		seen[en.id] = true
 	}
 }

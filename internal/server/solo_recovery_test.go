@@ -10,13 +10,13 @@ import (
 	"repro/pkg/darwin"
 )
 
-// TestSessionJournalRecovery pins the -journal-sessions satellite: plain solo
-// sessions journaled to "<journal>.sessions" survive a server restart with
-// the same id, the same accepted rules, and the same remaining budget, while
-// deleted sessions stay deleted.
+// TestSessionJournalRecovery pins that a solo labeler is as durable as any
+// workspace: with only JournalPath set, it survives a server restart with
+// the same id and an identical report, while deleted solo labelers stay
+// deleted.
 func TestSessionJournalRecovery(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
-	cfg := Config{JournalPath: jp, JournalSessions: true}
+	cfg := Config{JournalPath: jp}
 	srv, _ := newTestServer(t, cfg)
 	ts := httptest.NewServer(srv)
 	client := darwin.NewClient(ts.URL, "")
@@ -42,7 +42,7 @@ func TestSessionJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second session deleted before the restart must not come back.
+	// A second solo labeler deleted before the restart must not come back.
 	gone, err := client.NewLabeler(ctx, darwin.CreateOptions{
 		Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 5,
 	})
@@ -70,28 +70,25 @@ func TestSessionJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovered session report: %v", err)
 	}
-	if got.Questions != want.Questions || got.Budget != want.Budget || got.Positives != want.Positives {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered report %+v != pre-restart %+v", got, want)
 	}
-	if !reflect.DeepEqual(got.Accepted, want.Accepted) {
-		t.Errorf("recovered accepted rules %v != pre-restart %v", got.Accepted, want.Accepted)
-	}
-	// The recovered session keeps working: the suggestion stream continues.
+	// The recovered labeler keeps working: the suggestion stream continues.
 	if _, err := client2.OpenLabeler(lab.ID()).Suggest(ctx); err != nil {
-		t.Errorf("recovered session cannot suggest: %v", err)
+		t.Errorf("recovered labeler cannot suggest: %v", err)
 	}
 
 	if _, err := client2.OpenLabeler(gone.ID()).Report(ctx); !errors.Is(err, darwin.ErrNotFound) {
-		t.Errorf("deleted session resurrected: %v", err)
+		t.Errorf("deleted labeler resurrected: %v", err)
 	}
 }
 
-// TestSessionJournalAnswersAfterRecovery makes sure a recovered session's
+// TestSessionJournalTwoRestarts makes sure a recovered solo labeler's
 // post-restart answers are journaled too: a second restart replays both
 // generations of answers.
 func TestSessionJournalTwoRestarts(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
-	cfg := Config{JournalPath: jp, JournalSessions: true}
+	cfg := Config{JournalPath: jp}
 	srv, _ := newTestServer(t, cfg)
 	ts := httptest.NewServer(srv)
 	client := darwin.NewClient(ts.URL, "")
@@ -143,16 +140,7 @@ func TestSessionJournalTwoRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
-	if got.Questions != want.Questions || !reflect.DeepEqual(got.Accepted, want.Accepted) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("second recovery report %+v != %+v", got, want)
-	}
-}
-
-func TestJournalSessionsRequiresJournalPath(t *testing.T) {
-	srv, _ := newTestServer(t, Config{})
-	defer srv.Close()
-	eng := srv.datasets["directions"].Engine
-	if _, err := New(Config{JournalSessions: true}, &Dataset{Name: "directions", Engine: eng}); err == nil {
-		t.Fatal("New accepted JournalSessions without JournalPath")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/autolabel"
 	"repro/internal/ingest"
@@ -26,10 +25,11 @@ import (
 )
 
 // This file is the versioned /v2 surface: one handler set generated over the
-// Backend interface below. Solo sessions and workspace attachments are both
-// "labelers"; the handlers never branch on the mode — they resolve the id to
-// a darwin.Labeler and call interface methods. Because the handlers see only
-// Backend, the same set serves two deployments with zero handler changes:
+// Backend interface below. Every labeler is one annotator attached to a
+// workspace (a solo labeler owns a fresh one-annotator workspace); the
+// handlers resolve the id to a darwin.Labeler and call interface methods.
+// Because the handlers see only Backend, the same set serves two
+// deployments with zero handler changes:
 // darwind mounts it over *Server (labelers live in this process), and
 // darwin-router mounts it over internal/shard.Router (labelers live on a
 // fleet of darwind shards reached through darwin.RemoteLabeler). Every error
@@ -38,8 +38,8 @@ import (
 
 // Backend is the resource layer behind the /v2 handler set: it creates,
 // resolves, lists and deletes labelers. *Server implements it over its local
-// session store and workspace manager; internal/shard.Router implements it
-// over remote darwind shards.
+// workspace manager; internal/shard.Router implements it over remote darwind
+// shards.
 type Backend interface {
 	// CreateLabeler validates opts, creates (or attaches) a labeler and
 	// returns its status with the ID set. Implementations journal the
@@ -127,8 +127,7 @@ const (
 	maxPageLimit     = 1000
 )
 
-// maxLabelers bounds the workspace-attachment registry (sessions are
-// bounded by the store's own MaxSessions).
+// maxLabelers bounds the workspace-attachment registry.
 const maxLabelers = 4096
 
 // wsLabelerID derives the public labeler id of a workspace attachment
@@ -143,15 +142,18 @@ func wsLabelerID(wsID, annotator string) string {
 }
 
 // wsLabeler is one registered workspace attachment: the labeler id names
-// the (workspace, annotator) pair and holds the bound SDK adapter.
+// the (workspace, annotator) pair and holds the bound SDK adapter. solo
+// marks a session-mode labeler created by this process: deleting it evicts
+// its workspace too unless someone else joined it (after a restart the flag
+// is gone and the idle TTL reclaims the workspace instead).
 type wsLabeler struct {
-	id  string
-	lab *darwin.WorkspaceLabeler
+	id   string
+	lab  *darwin.WorkspaceLabeler
+	solo bool
 }
 
-// labelerRegistry tracks the workspace-backed labelers created via /v2.
-// Session-backed labelers live in the session store; workspace lifetime is
-// governed by the workspace manager's TTL. Entries are dropped on delete,
+// labelerRegistry tracks the labelers created via /v2. Workspace lifetime
+// is governed by the workspace manager's TTL. Entries are dropped on delete,
 // on access once their workspace turns out to be gone (Labeler), and by
 // pruneDeadLabelers sweeps (listing, and before refusing a create at the
 // capacity cap).
@@ -232,7 +234,7 @@ func writeV2Error(w http.ResponseWriter, err error) {
 // --- the generic /v2 handlers (one closure set over any Backend) ---
 
 // handleV2Create acks 201 only after CreateLabeler has journaled the new
-// workspace/session state.
+// workspace state.
 //
 //darwin:mutating-handler
 func handleV2Create(b Backend) http.HandlerFunc {
@@ -521,106 +523,29 @@ func parseLimit(r *http.Request) (int, error) {
 
 // --- *Server as the local Backend ---
 
-// timedSessionLabeler folds session suggest latency into the healthz
-// aggregate and journals applied answers when session journaling is on.
-// Embedding keeps every other Labeler/BatchAnswerer/Statuser method on the
-// adapter itself.
-type timedSessionLabeler struct {
-	*darwin.SessionLabeler
-	store *Store
-	// id and sj journal applied answers (sj nil when journaling is off).
-	id string
-	sj *sessionJournal
-}
-
-func (l *timedSessionLabeler) Suggest(ctx context.Context) (darwin.Suggestion, error) {
-	start := time.Now()
-	sug, err := l.SessionLabeler.Suggest(ctx)
-	l.store.RecordStep(time.Since(start))
-	return sug, err
-}
-
-func (l *timedSessionLabeler) AnswerBatch(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, error) {
-	recs, err := l.SessionLabeler.AnswerBatch(ctx, answers)
-	if l.sj != nil {
-		// Journal the applied prefix even on a mid-batch error: those answers
-		// changed durable state.
-		l.sj.recordAnswers(l.id, recs)
-	}
-	return recs, err
-}
-
-func (l *timedSessionLabeler) AnswerBatchStatus(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, darwin.Status, error) {
-	recs, st, err := l.SessionLabeler.AnswerBatchStatus(ctx, answers)
-	if l.sj != nil {
-		l.sj.recordAnswers(l.id, recs)
-	}
-	return recs, st, err
-}
-
-// CreateLabeler implements Backend.
+// CreateLabeler implements Backend. Session mode (the default) creates a
+// fresh workspace with one annotator — req.Annotator, or SoloAnnotator —
+// exactly like a workspace-mode create without a workspace id.
 func (s *Server) CreateLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
 	switch req.Mode {
 	case "", darwin.ModeSession:
-		return s.createSessionLabeler(ctx, req)
+		if req.Workspace != "" {
+			return darwin.Status{}, fmt.Errorf("%w: workspace cannot be set in session mode (use mode %q to join a workspace)",
+				darwin.ErrInvalid, darwin.ModeWorkspace)
+		}
+		if req.Annotator == "" {
+			req.Annotator = darwin.SoloAnnotator
+		}
+		return s.createWorkspaceLabeler(ctx, req, true)
 	case darwin.ModeWorkspace:
-		return s.createWorkspaceLabeler(ctx, req)
+		return s.createWorkspaceLabeler(ctx, req, false)
 	default:
 		return darwin.Status{}, fmt.Errorf("%w: unknown mode %q (want %q or %q)",
 			darwin.ErrInvalid, req.Mode, darwin.ModeSession, darwin.ModeWorkspace)
 	}
 }
 
-func (s *Server) createSessionLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
-	d, ok := s.datasets[req.Dataset]
-	if !ok {
-		return darwin.Status{}, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
-	}
-	if len(req.SeedRules) > s.cfg.MaxSeedRules {
-		return darwin.Status{}, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
-	}
-	// Reject a full store before paying for session construction (classifier
-	// training plus the engine's index write lock); Create re-checks under
-	// its lock.
-	if !s.store.HasCapacity() {
-		return darwin.Status{}, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
-	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	lab, err := darwin.NewSession(d.Engine, d.Name, darwin.Options{
-		SeedRules:       req.SeedRules,
-		SeedPositiveIDs: req.SeedPositiveIDs,
-		Budget:          budget,
-		Seed:            req.Seed,
-	})
-	if err != nil {
-		return darwin.Status{}, err
-	}
-	en, err := s.store.Create(d.Name, lab)
-	if err != nil {
-		return darwin.Status{}, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
-	}
-	if s.sessJournal != nil {
-		// Journal the resolved options (server defaults applied), so replay
-		// does not depend on the config of the recovering process.
-		s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
-			SeedRules:       req.SeedRules,
-			SeedPositiveIDs: req.SeedPositiveIDs,
-			Budget:          budget,
-			Seed:            req.Seed,
-		})
-	}
-	st, err := lab.Status(ctx)
-	if err != nil {
-		return darwin.Status{}, err
-	}
-	st.ID = en.id
-	return st, nil
-}
-
-func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
+func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOptions, solo bool) (darwin.Status, error) {
 	if req.Annotator == "" {
 		return darwin.Status{}, fmt.Errorf("%w: annotator name is required in workspace mode", darwin.ErrInvalid)
 	}
@@ -645,6 +570,9 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 			Budget:          budget,
 			Seed:            req.Seed,
 		})
+		if errors.Is(err, workspace.ErrLimit) || errors.Is(err, workspace.ErrJournal) {
+			return darwin.Status{}, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
+		}
 		if err != nil {
 			return darwin.Status{}, fmt.Errorf("%w: %v", darwin.ErrInvalid, err)
 		}
@@ -683,7 +611,7 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	// The labeler id is a pure function of (workspace, annotator), so the
 	// same attachment resolves under the same id after a restart.
 	id := wsLabelerID(wsID, req.Annotator)
-	en := &wsLabeler{id: id, lab: lab}
+	en := &wsLabeler{id: id, lab: lab, solo: solo}
 	if err := s.labelers.add(en); err != nil {
 		// At capacity: evict entries orphaned by workspace TTL eviction and
 		// retry once before refusing.
@@ -703,9 +631,6 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 
 // Labeler implements Backend: it maps a labeler id to its darwin.Labeler.
 func (s *Server) Labeler(id string) (darwin.Labeler, error) {
-	if en, ok := s.store.Get(id); ok {
-		return &timedSessionLabeler{SessionLabeler: en.lab, store: s.store, id: id, sj: s.sessJournal}, nil
-	}
 	if en, ok := s.labelers.get(id); ok {
 		// A TTL-evicted workspace leaves its attachment entries behind, and
 		// an attachment-TTL sweep can detach a single annotator from a live
@@ -774,14 +699,6 @@ func (s *Server) rebuildLabelers() {
 // and therefore do not wait on a workspace lock held by an in-flight
 // suggest.
 func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, error) {
-	if en, ok := s.store.Peek(id); ok {
-		st, err := en.lab.Status(ctx)
-		if err != nil {
-			return darwin.Status{}, err
-		}
-		st.ID = id
-		return st, nil
-	}
 	if en, ok := s.labelers.get(id); ok {
 		ws, live := s.mgr.Peek(en.lab.Workspace())
 		if !live || !ws.HasAnnotator(en.lab.Annotator()) {
@@ -807,9 +724,7 @@ func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, e
 // ListLabelers implements Backend.
 func (s *Server) ListLabelers(ctx context.Context, cursor string, limit int) (darwin.LabelerPage, error) {
 	s.pruneDeadLabelers()
-	ids := append(s.store.IDs(), s.labelers.ids()...)
-	sort.Strings(ids)
-	pageIDs, next := Page(ids, cursor, limit)
+	pageIDs, next := Page(s.labelers.ids(), cursor, limit)
 	page := darwin.LabelerPage{Labelers: make([]darwin.Status, 0, len(pageIDs)), NextCursor: next}
 	for _, id := range pageIDs {
 		st, err := s.LabelerStatus(ctx, id)
@@ -836,10 +751,14 @@ func (s *Server) DeleteLabeler(ctx context.Context, id string) error {
 		if err := en.lab.Close(ctx); err != nil && !errors.Is(err, darwin.ErrNotFound) {
 			return err
 		}
+		if ws, ok := s.mgr.Peek(en.lab.Workspace()); ok && en.solo && len(ws.Annotators()) == 0 {
+			// Free a solo labeler's workspace that nobody joined now rather
+			// than at the idle TTL.
+			if _, err := s.mgr.Evict(ws.ID(), "solo labeler deleted"); err != nil {
+				return fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
+			}
+		}
 		s.labelers.remove(id)
-		return nil
-	}
-	if s.deleteSession(ctx, id) {
 		return nil
 	}
 	return fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)

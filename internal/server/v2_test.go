@@ -76,6 +76,9 @@ func TestV2ErrorEnvelopeConformance(t *testing.T) {
 		{"create/bad-seed-rule", "POST", "/v2/labelers",
 			darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"@@@ ???"}},
 			http.StatusBadRequest, darwin.CodeInvalid, false, darwin.ErrInvalid},
+		{"create/session-with-workspace", "POST", "/v2/labelers",
+			darwin.CreateOptions{Dataset: "directions", Workspace: wsID},
+			http.StatusBadRequest, darwin.CodeInvalid, false, darwin.ErrInvalid},
 		{"create/workspace-without-annotator", "POST", "/v2/labelers",
 			darwin.CreateOptions{Dataset: "directions", Mode: darwin.ModeWorkspace},
 			http.StatusBadRequest, darwin.CodeInvalid, false, darwin.ErrInvalid},

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/pkg/darwin"
@@ -319,74 +318,6 @@ func TestWorkspaceHTTPErrorPaths(t *testing.T) {
 	}
 	if status := doJSON(t, ts, http.MethodPost, base+"/answers", answerOne(sug.Key, true), nil); status != http.StatusOK {
 		t.Fatalf("valid answer after conflict: status %d", status)
-	}
-}
-
-// TestSessionTTLEvictionRacingAnswer hammers one HTTP session with
-// suggest/answer traffic while the store's clock jumps past the TTL and
-// sweeps run concurrently; with -race this pins the store's eviction lock
-// discipline. After eviction, handlers must return 404 and the store must
-// be empty — never panic or deadlock.
-func TestSessionTTLEvictionRacingAnswer(t *testing.T) {
-	srv, _ := newTestServer(t, Config{SessionTTL: time.Minute})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	created := createSession(t, ts, 1000)
-	base := "/v2/labelers/" + created.ID
-
-	var mu sync.Mutex
-	expired := false
-	srv.Store().now = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		if expired {
-			return time.Now().Add(2 * time.Minute)
-		}
-		return time.Now()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				sug, done, status := suggestion(t, ts, created.ID)
-				if status == http.StatusNotFound {
-					return // evicted mid-flight: the expected outcome
-				}
-				if done {
-					return
-				}
-				if status != http.StatusOK {
-					t.Errorf("suggest: status %d", status)
-					return
-				}
-				doJSON(t, ts, http.MethodPost, base+"/answers", answerOne(sug.Key, false), nil)
-			}
-		}()
-	}
-	sweeps := make(chan struct{})
-	go func() {
-		defer close(sweeps)
-		time.Sleep(10 * time.Millisecond)
-		mu.Lock()
-		expired = true
-		mu.Unlock()
-		for i := 0; i < 50; i++ {
-			srv.Store().Sweep()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	wg.Wait()
-	<-sweeps
-	srv.Store().Sweep()
-	if got := srv.Store().Len(); got != 0 {
-		t.Fatalf("store holds %d sessions after TTL race", got)
-	}
-	if status := doJSON(t, ts, http.MethodGet, base+"/report", nil, nil); status != http.StatusNotFound {
-		t.Fatalf("report on evicted session: status %d", status)
 	}
 }
 

@@ -57,6 +57,8 @@ func (hs *HybridSearch) Next(st *State) (string, bool) {
 	hs.attempts++
 	if hs.universalMode {
 		if key, ok := hs.universal.Next(st); ok {
+			// An accepted universal proposal expands the local frontier.
+			hs.local.note(st, key)
 			return key, true
 		}
 		hs.toggle()
@@ -71,7 +73,11 @@ func (hs *HybridSearch) Next(st *State) (string, bool) {
 		return key, true
 	}
 	hs.toggle()
-	return hs.universal.Next(st)
+	key, ok := hs.universal.Next(st)
+	if ok {
+		hs.local.note(st, key)
+	}
+	return key, ok
 }
 
 func (hs *HybridSearch) toggle() {
@@ -88,6 +94,8 @@ func (hs *HybridSearch) toggle() {
 func (hs *HybridSearch) Feedback(st *State, key string, accepted bool) {
 	if accepted || hs.proposedByLocal[key] {
 		hs.local.Feedback(st, key, accepted)
+	} else {
+		delete(hs.local.proposed, key)
 	}
 	hs.universal.Feedback(st, key, accepted)
 	if accepted {

@@ -1,6 +1,8 @@
 package traversal
 
 import (
+	"slices"
+
 	"repro/internal/grammar"
 )
 
@@ -13,12 +15,24 @@ import (
 // expanded on the fly (the "efficient implementation" of §3.4).
 type LocalSearch struct {
 	candidates map[string]bool
+	// proposed holds the neighborhood of every rule proposed and not yet
+	// answered, taken from the hierarchy it was proposed from: its verdict
+	// expands the frontier around that hierarchy, whatever the hierarchy
+	// looks like by the time the answer arrives.
+	proposed map[string]Neighborhood
+}
+
+// Neighborhood is a rule's parents and children in the hierarchy (or, when
+// the hierarchy has none, in the index).
+type Neighborhood struct {
+	Parents  []string `json:"parents,omitempty"`
+	Children []string `json:"children,omitempty"`
 }
 
 // NewLocalSearch returns a LocalSearch seeded with the given rule keys
 // (typically the seed heuristic r0).
 func NewLocalSearch(seedKeys ...string) *LocalSearch {
-	ls := &LocalSearch{candidates: make(map[string]bool)}
+	ls := &LocalSearch{candidates: make(map[string]bool), proposed: make(map[string]Neighborhood)}
 	for _, k := range seedKeys {
 		if k != "" && k != grammar.RootKey {
 			ls.candidates[k] = true
@@ -38,6 +52,23 @@ func (ls *LocalSearch) Name() string { return "local" }
 // sentences rather than a seed rule), the search bootstraps from the current
 // hierarchy.
 func (ls *LocalSearch) Next(st *State) (string, bool) {
+	key, ok := ls.pick(st)
+	if ok {
+		ls.note(st, key)
+	}
+	return key, ok
+}
+
+// note records the neighborhood of a proposed rule for its Feedback. The
+// lists are copied: the index rebuilds its edge slices in place.
+func (ls *LocalSearch) note(st *State, key string) {
+	ls.proposed[key] = Neighborhood{
+		Parents:  slices.Clone(ls.parentsOf(st, key)),
+		Children: slices.Clone(ls.childrenOf(st, key)),
+	}
+}
+
+func (ls *LocalSearch) pick(st *State) (string, bool) {
 	keys := sortedKeys(ls.candidates)
 	if key, ok := pickBest(st, keys, 0); ok {
 		return key, true
@@ -95,14 +126,20 @@ func (ls *LocalSearch) bestByOverlap(st *State) (string, bool) {
 	return best, best != ""
 }
 
-// Feedback implements Traversal (Algorithm 3 lines 7-12).
+// Feedback implements Traversal (Algorithm 3 lines 7-12). A rule this
+// search proposed expands the neighborhood noted when it was proposed; any
+// other rule (an externally proposed one) is looked up in st.
 func (ls *LocalSearch) Feedback(st *State, key string, accepted bool) {
 	delete(ls.candidates, key)
-	var neighborhood []string
-	if accepted {
-		neighborhood = ls.parentsOf(st, key)
+	nb, ok := ls.proposed[key]
+	if ok {
+		delete(ls.proposed, key)
 	} else {
-		neighborhood = ls.childrenOf(st, key)
+		nb = Neighborhood{Parents: ls.parentsOf(st, key), Children: ls.childrenOf(st, key)}
+	}
+	neighborhood := nb.Children
+	if accepted {
+		neighborhood = nb.Parents
 	}
 	for _, nk := range neighborhood {
 		if nk == grammar.RootKey || st.Queried[nk] {

@@ -13,8 +13,6 @@
 package traversal
 
 import (
-	"sort"
-
 	"repro/internal/bitset"
 	"repro/internal/grammar"
 	"repro/internal/hierarchy"
@@ -29,7 +27,7 @@ type State struct {
 	Index     *index.Index
 	// Positives is the discovered positive set P (sentence IDs).
 	Positives map[int]bool
-	// PosBits is the bitset mirror of Positives. Sessions maintain it
+	// PosBits is the bitset mirror of Positives. Workspaces maintain it
 	// incrementally; when nil, it is built lazily from Positives on first
 	// use (so hand-built states keep working). A caller that supplies
 	// PosBits must keep it consistent with Positives itself.
@@ -168,14 +166,4 @@ func pickBest(st *State, keys []string, requireAvgBenefit float64) (string, bool
 		}
 	}
 	return bestKey, bestKey != ""
-}
-
-// sortedKeys returns the keys of a string set in sorted order.
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

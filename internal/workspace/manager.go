@@ -30,7 +30,7 @@ var (
 // Default manager limits.
 const (
 	DefaultTTL           = 2 * time.Hour
-	DefaultMaxWorkspaces = 256
+	DefaultMaxWorkspaces = 1024
 	DefaultCompactEvery  = 4096
 )
 
@@ -38,7 +38,7 @@ const (
 type ManagerConfig struct {
 	// TTL evicts workspaces idle longer than this (default 2h).
 	TTL time.Duration
-	// MaxWorkspaces bounds the number of live workspaces (default 256).
+	// MaxWorkspaces bounds the number of live workspaces (default 1024).
 	MaxWorkspaces int
 	// CompactEvery triggers snapshot+truncate compaction of the journal
 	// after this many appends (default 4096; negative disables).
@@ -116,8 +116,7 @@ type Manager struct {
 // NewManager creates a manager over the given engines (dataset name →
 // engine). jw may be nil for a volatile (journal-less) manager. The manager
 // registers itself as each engine's materialize hook, so every seed-rule
-// materialization — including ones from the plain session API — is
-// journaled in index-lock order.
+// materialization on those engines is journaled in index-lock order.
 func NewManager(engines map[string]*core.Engine, jw *journal.Writer, cfg ManagerConfig) *Manager {
 	m := &Manager{
 		cfg:      cfg.withDefaults(),
@@ -228,7 +227,7 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	full := len(m.items) >= m.cfg.MaxWorkspaces
 	m.mu.Unlock()
 	if full {
-		return nil, fmt.Errorf("workspace: limit reached (%d live workspaces)", m.cfg.MaxWorkspaces)
+		return nil, fmt.Errorf("workspace: %w (%d live workspaces)", ErrLimit, m.cfg.MaxWorkspaces)
 	}
 	id, err := newWorkspaceID()
 	if err != nil {

@@ -8,16 +8,17 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/traversal"
 )
 
-// Snapshot is the full serialized state of a workspace, written into the
-// journal by compaction. Because every derived RNG is seeded from
-// (Seed, EventSeq) rather than from an evolving stream, restoring a
-// snapshot resumes the exact deterministic event stream a full replay would
-// produce: scores round-trip exactly through JSON (encoding/json emits
-// shortest-round-trip float64), and the classifier model itself need not be
-// captured — Restore refits it as a pure function of
-// (positives, seed, LastRetrainSeq), reproducing the live model exactly.
+// Snapshot is the full serialized state of a workspace — traversal state
+// included — written into the journal by compaction. Because every derived
+// RNG is seeded from (Seed, EventSeq) rather than from an evolving stream,
+// restoring a snapshot resumes the exact deterministic event stream a full
+// replay would produce: scores round-trip exactly through JSON
+// (encoding/json emits shortest-round-trip float64), and the classifier
+// model itself need not be captured — Restore refits it as a pure function
+// of (positives, seed, LastRetrainSeq), reproducing the live model exactly.
 type Snapshot struct {
 	ID        string   `json:"id"`
 	Dataset   string   `json:"dataset"`
@@ -45,6 +46,13 @@ type Snapshot struct {
 	History  []Record `json:"history,omitempty"`
 
 	Annotators []AnnotatorSnapshot `json:"annotators,omitempty"`
+
+	// Traversal is the traversal strategy's accumulated state (including
+	// the neighborhoods its pending proposals expand on feedback), and
+	// Seeded whether it was already Reseeded around the seed rules: without
+	// them a restored workspace would pick differently from a full replay.
+	Traversal *traversal.Saved `json:"traversal,omitempty"`
+	Seeded    bool             `json:"seeded,omitempty"`
 }
 
 // AnnotatorSnapshot is one attached annotator's state, in attach order.
@@ -75,6 +83,10 @@ func (ws *Workspace) Snapshot() *Snapshot {
 		Scores:         append([]float64(nil), ws.scores...),
 		Accepted:       append([]Record(nil), ws.accepted...),
 		History:        append([]Record(nil), ws.history...),
+		Seeded:         ws.seeded,
+	}
+	if saved, ok := traversal.Save(ws.trav); ok {
+		snap.Traversal = &saved
 	}
 	for _, name := range ws.annOrder {
 		an := ws.annotators[name]
@@ -104,11 +116,19 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 	if len(snap.Scores) != snap.CorpusLen {
 		return nil, fmt.Errorf("workspace: snapshot %s has %d scores for %d sentences", snap.ID, len(snap.Scores), snap.CorpusLen)
 	}
+	if snap.Traversal == nil {
+		return nil, fmt.Errorf("workspace: snapshot %s carries no traversal state", snap.ID)
+	}
+	var seedKeys []string
 	for _, spec := range snap.SeedRules {
-		if _, _, err := eng.MaterializeRule(spec); err != nil {
+		key, _, err := eng.MaterializeRule(spec)
+		if err != nil {
 			return nil, fmt.Errorf("workspace: snapshot %s seed rule %q: %w", snap.ID, spec, err)
 		}
+		seedKeys = append(seedKeys, key)
 	}
+	trav := eng.NewTraversal(seedKeys...)
+	traversal.Load(trav, *snap.Traversal)
 	ws := &Workspace{
 		eng:            eng,
 		log:            log,
@@ -129,6 +149,9 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		questions:      snap.Questions,
 		accepted:       append([]Record(nil), snap.Accepted...),
 		history:        append([]Record(nil), snap.History...),
+		trav:           trav,
+		seedKeys:       seedKeys,
+		seeded:         snap.Seeded,
 		annotators:     make(map[string]*annotator, len(snap.Annotators)),
 	}
 	for _, id := range snap.Positives {

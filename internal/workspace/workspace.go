@@ -1,20 +1,25 @@
-// Package workspace implements the paper's parallel-discovery deployment
-// mode: several annotators attach to one shared Workspace per dataset and
-// discover rules over a single shared labeled set. The workspace owns the
-// shared positive set P, the classifier and the accepted-rule list; each
-// annotator's Suggest draws from the shared candidate hierarchy with
-// per-annotator assignment (no two annotators are shown the same candidate
-// rule concurrently), and Answer merges accepts/rejects back into the shared
-// state under the engine's existing concurrency contract.
+// Package workspace implements the interactive loop of Algorithm 1 — the
+// only one in the repository. A Workspace owns the positive set P, the
+// classifier, the traversal strategy and the accepted-rule list over one
+// engine; annotators attach to it and each annotator's Suggest draws the
+// next rule from the engine's configured traversal (Local, Universal or
+// Hybrid search over the shared candidate hierarchy) with per-annotator
+// assignment (no two annotators are shown the same candidate rule
+// concurrently), while Answer merges accepts/rejects back into the shared
+// state and feeds them to the traversal.
+//
+// A solo labeler is a workspace with one annotator, and Run drives such a
+// workspace from an oracle for batch experiments. Several annotators on one
+// workspace are the paper's parallel-discovery mode.
 //
 // # Determinism and replay
 //
 // A workspace's entire state evolution is a pure function of (engine,
-// creation options, applied event sequence): candidate selection is a
-// deterministic argmax over the shared hierarchy, and every use of
-// randomness (presentation-sample drawing, classifier negative sampling) is
-// seeded from the workspace seed and the event sequence number rather than
-// from an evolving RNG stream. That is what makes the journal
+// creation options, applied event sequence): the traversal is a
+// deterministic function of the hierarchy, scores and its own state, and
+// every use of randomness (presentation-sample drawing, classifier negative
+// sampling) is seeded from the workspace seed and the event sequence number
+// rather than from an evolving RNG stream. That is what makes the journal
 // (internal/journal) sufficient for crash recovery: replaying the event log
 // through the same apply methods that served live traffic reconstructs
 // byte-identical workspace state, and a snapshot (which captures the event
@@ -38,10 +43,12 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/core"
+	"repro/internal/grammar"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/oracle"
+	"repro/internal/traversal"
 )
 
 // Workspace telemetry: every applied (journaled) event is counted by type,
@@ -61,6 +68,18 @@ var (
 		"Annotator attachments detached by the per-attachment idle TTL.")
 )
 
+// SuggestStats returns how many suggests this process served and their
+// last and average latency (zero before the first). The numbers come from
+// the darwin_workspace_suggest_duration_seconds histogram /metrics serves,
+// so health checks and scrapes cannot disagree.
+func SuggestStats() (count int64, last, avg time.Duration) {
+	n := wsSuggestDurations.Count()
+	if n > 0 {
+		avg = time.Duration(wsSuggestDurations.Sum() / float64(n) * float64(time.Second))
+	}
+	return int64(n), time.Duration(wsSuggestDurations.Last() * float64(time.Second)), avg
+}
+
 // Sentinel errors, exposed so the HTTP layer can map them to status codes.
 var (
 	ErrUnknownWorkspace   = errors.New("unknown or expired workspace")
@@ -68,6 +87,9 @@ var (
 	ErrDuplicateAnnotator = errors.New("annotator already attached")
 	ErrNoPending          = errors.New("no pending suggestion (call suggest first)")
 	ErrKeyMismatch        = errors.New("answer does not match the pending suggestion")
+	// ErrLimit refuses a create when the manager holds MaxWorkspaces live
+	// workspaces.
+	ErrLimit = errors.New("workspace limit reached")
 	// ErrJournal marks a failed journal append: the workspace refuses new
 	// state changes rather than keep acknowledging work that would not
 	// survive a restart.
@@ -118,8 +140,11 @@ type annotator struct {
 	questions int
 	accepts   int
 	pending   *Suggestion
-	// pendingCov is the full coverage set of the pending suggestion.
-	pendingCov []int
+	// pendingCov and pendingHeur are the full coverage set and the
+	// heuristic of the pending suggestion (what Run asks its oracle about;
+	// a restored annotator has no heuristic, since Run never restores).
+	pendingCov  []int
+	pendingHeur grammar.Heuristic
 	// lastSeen is the wall-clock time of the annotator's last interaction
 	// (attach/suggest/answer). It drives the per-attachment idle TTL and is
 	// deliberately not journaled or snapshotted: liveness is process-local,
@@ -175,6 +200,13 @@ type Workspace struct {
 	history   []Record
 	questions int
 
+	// trav is the traversal strategy that picks each suggestion. It is
+	// Reseeded around seedKeys on the first suggest (seeded records that)
+	// and gets Feedback on every answer; its state is snapshotted.
+	trav     traversal.Traversal
+	seedKeys []string
+	seeded   bool
+
 	hier      *hierarchy.Hierarchy
 	hierPos   int
 	hierIxVer uint64
@@ -226,7 +258,6 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 	if opts.Seed == 0 {
 		return nil, fmt.Errorf("workspace: seed must be resolved before creation")
 	}
-	corp := eng.Corpus()
 	ws := &Workspace{
 		eng:        eng,
 		log:        log,
@@ -234,17 +265,11 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 		dataset:    dataset,
 		seed:       opts.Seed,
 		budget:     opts.Budget,
-		corpusLen:  corp.Len(),
 		seedRules:  append([]string(nil), opts.SeedRules...),
 		positives:  make(map[int]bool),
-		posBits:    bitset.New(corp.Len()),
 		queried:    make(map[string]bool),
-		scores:     make([]float64, corp.Len()),
 		clf:        eng.AttachClassifier(opts.Seed),
 		annotators: make(map[string]*annotator),
-	}
-	for i := range ws.scores {
-		ws.scores[i] = 0.5
 	}
 	// Validate every seed rule before mutating shared state.
 	rules := make([]string, 0, len(opts.SeedRules))
@@ -260,7 +285,13 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 		if err != nil {
 			return nil, fmt.Errorf("workspace: seed rule %q: %w", spec, err)
 		}
-		added := ws.addPositives(cov)
+		// The coverage may include sentences ingested since the last
+		// sizing: grow first (outside a manager nothing excludes ingest).
+		var added []int
+		eng.WithIndexRead(func(*index.Index) {
+			ws.growLocked()
+			added = ws.addPositives(cov)
+		})
 		ws.accepted = append(ws.accepted, Record{RuleRecord: core.RuleRecord{
 			Key:            key,
 			Rule:           rules[i],
@@ -271,13 +302,18 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 			PositivesAfter: len(ws.positives),
 		}})
 		ws.queried[key] = true
+		ws.seedKeys = append(ws.seedKeys, key)
 	}
-	for _, id := range opts.SeedPositiveIDs {
-		if corp.Sentence(id) != nil && !ws.positives[id] {
-			ws.positives[id] = true
-			ws.posBits.Add(id)
+	ws.trav = eng.NewTraversal(ws.seedKeys...)
+	eng.WithIndexRead(func(*index.Index) {
+		ws.growLocked()
+		for _, id := range opts.SeedPositiveIDs {
+			if id >= 0 && id < ws.corpusLen && !ws.positives[id] {
+				ws.positives[id] = true
+				ws.posBits.Add(id)
+			}
 		}
-	}
+	})
 	if len(ws.positives) == 0 {
 		return nil, fmt.Errorf("workspace: seeds produced no positive instances (need a seed rule with non-empty coverage or seed positive IDs)")
 	}
@@ -502,12 +538,12 @@ func (ws *Workspace) outstandingLocked() int {
 }
 
 // Suggest returns the annotator's pending suggestion, or assigns them the
-// most promising unqueried, unassigned candidate rule. ok=false means no
-// assignment is possible: the shared budget is exhausted (counting
-// outstanding assignments, so the budget is never oversubscribed) or no
-// candidates remain. The heavy work — regenerating the shared hierarchy
-// when |P| or the index changed, and one benefit-kernel pass over the
-// candidates — runs under the engine's read lock.
+// rule the traversal picks among the unqueried, unassigned candidates.
+// ok=false means no assignment is possible: the shared budget is exhausted
+// (counting outstanding assignments, so the budget is never
+// oversubscribed) or the traversal has no candidate left. The heavy work —
+// regenerating the shared hierarchy when |P| or the index changed, and the
+// traversal's benefit-kernel passes — runs under the engine's read lock.
 //
 //darwin:replaypure
 func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
@@ -530,32 +566,36 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 	if ws.questions+ws.outstandingLocked() >= ws.budget {
 		return Suggestion{}, false, nil
 	}
-	var sug Suggestion
-	var cov []int
 	found := false
 	ws.eng.WithIndexRead(func(ix *index.Index) {
 		ws.growLocked()
-		if ver := ix.Version(); ws.hier == nil || ws.hierPos != len(ws.positives) || ws.hierIxVer != ver {
-			ws.hier = hierarchy.GenerateBits(ix, ws.posBits, ws.eng.HierarchyConfig())
-			ws.hierPos = len(ws.positives)
-			ws.hierIxVer = ver
-			ws.hierGens++
-		}
-		key, benefit, newCov := ws.pickLocked()
-		if key == "" {
+		st := ws.stateLocked(ix)
+		key, ok := ws.pickLocked(st)
+		if !ok {
 			return
 		}
-		n := ws.hier.Node(key)
-		cov = bitset.IDs(n.Bits)
+		var cov []int
+		var heur grammar.Heuristic
+		if n := ws.hier.Node(key); n != nil {
+			cov, heur = bitset.IDs(n.Bits), n.Heuristic
+		} else if n := ix.Node(key); n != nil {
+			// Local search may propose an index rule outside the hierarchy.
+			cov, heur = ix.Coverage(key), n.Heuristic
+		}
+		rule := key
+		if heur != nil {
+			rule = heur.String()
+		}
+		benefit, newCov := st.BenefitNewOf(key)
 		avg := 0.0
 		if newCov > 0 {
 			avg = benefit / float64(newCov)
 		}
 		rng := rand.New(rand.NewSource(mix(ws.seed, ws.eventSeq)))
 		question := ws.questions + ws.outstandingLocked() + 1
-		sug = Suggestion{
+		an.pending = &Suggestion{
 			Key:         key,
-			Rule:        n.Heuristic.String(),
+			Rule:        rule,
 			Coverage:    len(cov),
 			NewCoverage: newCov,
 			Benefit:     benefit,
@@ -564,9 +604,8 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 			Question:    question,
 			BudgetLeft:  ws.budget - question,
 		}
+		an.pendingCov, an.pendingHeur = cov, heur
 		ws.queried[key] = true
-		an.pending = &sug
-		an.pendingCov = cov
 		found = true
 		// Journal inside the read lock: a concurrent seed-rule
 		// materialization (write lock) is journaled strictly before or
@@ -576,39 +615,68 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 	if !found {
 		return Suggestion{}, false, nil
 	}
-	return sug, true, ws.journalErrLocked()
+	return *an.pending, true, ws.journalErrLocked()
 }
 
-// pickLocked is the deterministic candidate selection: the unqueried,
-// unassigned hierarchy node with the highest benefit, breaking ties by
-// higher new coverage then lexicographic key. Assigned-but-unanswered keys
-// are in ws.queried, which is what keeps concurrent annotators disjoint.
+// stateLocked returns the traversal's view of the workspace, regenerating
+// the cached hierarchy first when |P| or the index version changed since it
+// was built. Callers hold ws.mu and the engine read lock.
 //
 //darwin:replaypure
-func (ws *Workspace) pickLocked() (string, float64, int) {
-	bestKey := ""
-	bestBenefit := -1.0
-	bestNew := -1
-	for _, key := range ws.hier.NonRootKeys() {
-		if ws.queried[key] {
-			continue
-		}
-		benefit, newCov := ws.hier.Node(key).Bits.AndNotSum(ws.posBits, ws.scores)
-		if newCov == 0 {
-			continue
-		}
-		if benefit > bestBenefit || (benefit == bestBenefit && newCov > bestNew) ||
-			(benefit == bestBenefit && newCov == bestNew && (bestKey == "" || key < bestKey)) {
-			bestKey, bestBenefit, bestNew = key, benefit, newCov
-		}
+func (ws *Workspace) stateLocked(ix *index.Index) *traversal.State {
+	if ver := ix.Version(); ws.hier == nil || ws.hierPos != len(ws.positives) || ws.hierIxVer != ver {
+		ws.hier = hierarchy.GenerateBits(ix, ws.posBits, ws.eng.HierarchyConfig())
+		ws.hierPos = len(ws.positives)
+		ws.hierIxVer = ver
+		ws.hierGens++
 	}
-	return bestKey, bestBenefit, bestNew
+	return ws.viewLocked(ix)
 }
 
-// Answer records an annotator's verdict on their pending suggestion: on
-// accept it merges the rule's coverage into the shared positive set and
-// retrains the shared classifier; either way the rule stays queried for the
-// whole workspace.
+// viewLocked returns the traversal's view of the workspace over the cached
+// hierarchy as it is. Callers hold ws.mu and the engine read lock.
+func (ws *Workspace) viewLocked(ix *index.Index) *traversal.State {
+	return &traversal.State{
+		Hierarchy: ws.hier,
+		Index:     ix,
+		Positives: ws.positives,
+		PosBits:   ws.posBits,
+		Scores:    ws.scores,
+		Queried:   ws.queried,
+	}
+}
+
+// pickLocked asks the traversal for the next rule. On the first pick the
+// traversal is Reseeded around the seed rules. Assigned-but-unanswered keys
+// are in ws.queried, which is what keeps concurrent annotators disjoint. A
+// pick that finds nothing assigns and journals nothing, so it must leave no
+// trace either: the traversal state it touched is rolled back. Callers hold
+// ws.mu and the engine read lock.
+//
+//darwin:replaypure
+func (ws *Workspace) pickLocked(st *traversal.State) (string, bool) {
+	saved, restorable := traversal.Save(ws.trav)
+	seeded := ws.seeded
+	if !ws.seeded {
+		for _, k := range ws.seedKeys {
+			ws.trav.Reseed(st, k)
+		}
+		ws.seeded = true
+	}
+	key, ok := ws.trav.Next(st)
+	if !ok {
+		if restorable {
+			traversal.Load(ws.trav, saved)
+		}
+		ws.seeded = seeded
+	}
+	return key, ok
+}
+
+// Answer records an annotator's verdict on their pending suggestion: it
+// informs the traversal, and on accept merges the rule's coverage into the
+// shared positive set and retrains the shared classifier; either way the
+// rule stays queried for the whole workspace.
 //
 //darwin:replaypure
 func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
@@ -632,7 +700,16 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 		return Record{}, fmt.Errorf("workspace: answer for %q vs pending %q: %w", key, an.pending.Key, ErrKeyMismatch)
 	}
 	pending, cov := an.pending, an.pendingCov
-	an.pending, an.pendingCov = nil, nil
+	an.pending, an.pendingCov, an.pendingHeur = nil, nil, nil
+
+	// The built-in traversals expand the neighborhood they noted when they
+	// proposed the rule, so feedback never depends on the hierarchy cache
+	// (which an unjournaled suggest may have moved). The cache is there for
+	// custom traversals, which only Run uses: it never restores, so the
+	// cache is always set.
+	ws.eng.WithIndexRead(func(ix *index.Index) {
+		ws.trav.Feedback(ws.viewLocked(ix), key, accept)
+	})
 
 	q := ws.questions + 1
 	rec := Record{

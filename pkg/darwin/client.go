@@ -60,13 +60,14 @@ func NewClient(baseURL, token string, opts ...ClientOption) *Client {
 type CreateOptions struct {
 	// Dataset names the served corpus to label.
 	Dataset string `json:"dataset"`
-	// Mode is ModeSession (default) or ModeWorkspace.
+	// Mode is ModeSession (default: a fresh one-annotator workspace) or
+	// ModeWorkspace.
 	Mode string `json:"mode,omitempty"`
 	// Workspace, in workspace mode, attaches to this existing workspace
-	// instead of creating a new one.
+	// instead of creating a new one. Session mode rejects it.
 	Workspace string `json:"workspace,omitempty"`
 	// Annotator is the annotator name to attach as (required in workspace
-	// mode).
+	// mode; SoloAnnotator when empty in session mode).
 	Annotator string `json:"annotator,omitempty"`
 	// SeedRules and SeedPositiveIDs seed the positive set.
 	SeedRules       []string `json:"seed_rules,omitempty"`

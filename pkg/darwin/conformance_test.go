@@ -23,13 +23,10 @@ import (
 
 // Compile-time checks: every implementation satisfies the full API.
 var (
-	_ darwin.Labeler       = (*darwin.SessionLabeler)(nil)
 	_ darwin.Labeler       = (*darwin.WorkspaceLabeler)(nil)
 	_ darwin.Labeler       = (*darwin.RemoteLabeler)(nil)
-	_ darwin.BatchAnswerer = (*darwin.SessionLabeler)(nil)
 	_ darwin.BatchAnswerer = (*darwin.WorkspaceLabeler)(nil)
 	_ darwin.BatchAnswerer = (*darwin.RemoteLabeler)(nil)
-	_ darwin.Statuser      = (*darwin.SessionLabeler)(nil)
 	_ darwin.Statuser      = (*darwin.WorkspaceLabeler)(nil)
 	_ darwin.Statuser      = (*darwin.RemoteLabeler)(nil)
 )

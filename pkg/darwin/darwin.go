@@ -1,10 +1,13 @@
 // Package darwin is the public SDK for the DARWIN interactive labeler
 // (Galhotra, Gurajada & Tan, SIGMOD'21). It defines the one canonical API —
 // the Labeler interface — behind which every deployment mode of the system
-// hides: a solo in-process session, an annotator's attachment to a shared
-// multi-annotator workspace, and a remote labeler driven over the versioned
-// /v2 HTTP surface. All three implementations are interchangeable; callers
-// program against Labeler and pick the transport at construction time:
+// hides. Every labeler is one annotator stepping one workspace (the
+// system's single implementation of the discovery loop): a solo in-process
+// labeler owns a fresh one-annotator workspace, an attachment joins a shared
+// multi-annotator workspace, and a remote labeler drives either over the
+// versioned /v2 HTTP surface. The implementations are interchangeable;
+// callers program against Labeler and pick the transport at construction
+// time:
 //
 //	lab, _ := darwin.NewSession(engine, "directions", darwin.Options{
 //		SeedRules: []string{"best way to get to"},
@@ -115,9 +118,11 @@ func AnswerBatch(ctx context.Context, l Labeler, answers []Answer) ([]RuleRecord
 
 // Modes a labeler can run in.
 const (
-	// ModeSession is a solo session: the labeler owns its discovery state.
+	// ModeSession creates a solo labeler: a fresh workspace with one
+	// annotator. Solo labelers report ModeWorkspace once created.
 	ModeSession = "session"
-	// ModeWorkspace is an annotator's attachment to a shared workspace.
+	// ModeWorkspace is an annotator's attachment to a workspace, fresh or
+	// shared.
 	ModeWorkspace = "workspace"
 )
 
@@ -175,8 +180,7 @@ type RuleRecord struct {
 	AddedIDs    []int `json:"added_ids,omitempty"`
 	// PositivesAfter is |P| after this record.
 	PositivesAfter int `json:"positives_after"`
-	// Annotator is who answered (workspace mode; empty for solo sessions
-	// and seed rules).
+	// Annotator is who answered (empty for seed rules).
 	Annotator string `json:"annotator,omitempty"`
 }
 
@@ -205,8 +209,8 @@ type Report struct {
 	// History every oracle query in order (seeds excluded).
 	Accepted []RuleRecord `json:"accepted"`
 	History  []RuleRecord `json:"history"`
-	// Classifier is set for workspace-backed labelers, whose shared
-	// classifier state is part of the durable workspace.
+	// Classifier summarizes the workspace's classifier, part of the durable
+	// workspace state.
 	Classifier *ClassifierInfo `json:"classifier,omitempty"`
 }
 

@@ -5,14 +5,55 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/workspace"
 )
 
-// WorkspaceLabeler adapts one annotator's attachment to a shared
-// multi-annotator workspace to the Labeler interface. All state-changing
+// Options configures a new solo labeler.
+type Options struct {
+	// SeedRules seed the positive set without consuming budget.
+	SeedRules []string
+	// SeedPositiveIDs are sentence IDs known to be positive.
+	SeedPositiveIDs []int
+	// Budget overrides the engine's oracle query budget (0 keeps it).
+	Budget int
+	// Seed overrides the engine's random seed for this labeler (0 keeps it),
+	// making the run replayable independently of other labelers.
+	Seed int64
+}
+
+// SoloAnnotator is the annotator name of a solo labeler when none is given.
+const SoloAnnotator = "solo"
+
+// NewSession starts a solo labeler on the engine: a fresh in-process
+// workspace with one annotator (SoloAnnotator), stepping the same loop as
+// every shared workspace. The workspace has no journal and never expires;
+// it lives as long as the returned labeler is referenced. The dataset name
+// is carried into reports and statuses.
+func NewSession(eng *core.Engine, dataset string, opts Options) (*WorkspaceLabeler, error) {
+	mgr := workspace.NewManager(map[string]*core.Engine{dataset: eng}, nil,
+		workspace.ManagerConfig{TTL: time.Duration(math.MaxInt64)})
+	ws, err := mgr.Create(dataset, workspace.Options{
+		SeedRules:       opts.SeedRules,
+		SeedPositiveIDs: opts.SeedPositiveIDs,
+		Budget:          opts.Budget,
+		Seed:            opts.Seed,
+	})
+	if err != nil {
+		return nil, wrap(ErrInvalid, err)
+	}
+	return AttachWorkspace(mgr, ws.ID(), SoloAnnotator)
+}
+
+// WorkspaceLabeler adapts one annotator's attachment to a workspace — a
+// solo labeler's own or a shared multi-annotator one — to the Labeler
+// interface. All state-changing
 // calls go through the workspace manager, inheriting its journaling gate and
 // TTL refresh; serialization across annotators is the workspace's own lock,
 // so a batch of answers may interleave with other annotators exactly as the
@@ -278,4 +319,48 @@ func errorsIsAny(err error, targets ...error) bool {
 		}
 	}
 	return false
+}
+
+// batchErr annotates a mid-batch failure with how far the batch got;
+// single-answer calls pass the error through untouched.
+func batchErr(i, n int, err error) error {
+	if n == 1 {
+		return err
+	}
+	return fmt.Errorf("answer %d/%d (%d applied): %w", i+1, n, i, err)
+}
+
+// samplesFrom resolves sample sentence IDs against the corpus, skipping IDs
+// the corpus does not know.
+func samplesFrom(corp *corpus.Corpus, ids []int) []Sample {
+	var out []Sample
+	for _, id := range ids {
+		if sent := corp.Sentence(id); sent != nil {
+			out = append(out, Sample{ID: id, Text: sent.Text})
+		}
+	}
+	return out
+}
+
+// coreRecord converts a core.RuleRecord to the SDK shape. CoverageIDs are
+// sorted so reports serialize deterministically.
+func coreRecord(rec core.RuleRecord, annotator string) RuleRecord {
+	out := RuleRecord{
+		Question:       rec.Question,
+		Key:            rec.Key,
+		Rule:           rec.Rule,
+		Coverage:       rec.Coverage,
+		Accepted:       rec.Accepted,
+		PositivesAfter: rec.PositivesAfter,
+		Annotator:      annotator,
+	}
+	if len(rec.CoverageIDs) > 0 {
+		out.CoverageIDs = append([]int(nil), rec.CoverageIDs...)
+		sort.Ints(out.CoverageIDs)
+	}
+	if len(rec.AddedIDs) > 0 {
+		out.AddedIDs = append([]int(nil), rec.AddedIDs...)
+		sort.Ints(out.AddedIDs)
+	}
+	return out
 }
