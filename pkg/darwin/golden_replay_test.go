@@ -10,10 +10,9 @@ import (
 	"repro/pkg/darwin"
 )
 
-// goldenStep is one oracle interaction of the pinned session (recorded from
-// the map-based engine before the bitset kernels landed; the same transcript
-// internal/core's TestSessionMatchesGoldenReplay pins against the Session
-// API directly).
+// goldenStep is one oracle interaction of the pinned solo labeler (the same
+// transcript internal/workspace's TestWorkspaceMatchesGoldenReplay pins
+// against the workspace API directly).
 type goldenStep struct {
 	key      string
 	accept   bool
@@ -22,25 +21,25 @@ type goldenStep struct {
 }
 
 var goldenTranscript = []goldenStep{
-	{"tokensregex:way to get to", true, 6, "1.356743"},
-	{"tokensregex:best way to get", true, 5, "1.735721"},
-	{"tokensregex:best way to", false, 67, "26.558675"},
-	{"tokensregex:the best way to", false, 67, "26.558675"},
-	{"tokensregex:best way to order", false, 25, "15.162241"},
-	{"tokensregex:best way to check", false, 37, "11.396434"},
+	{"tokensregex:way to get to", true, 6, "1.385422"},
+	{"tokensregex:best way to get", true, 5, "1.842029"},
+	{"tokensregex:best way to", false, 67, "31.171959"},
+	{"tokensregex:the best way to", false, 67, "31.171959"},
+	{"tokensregex:best way to order", false, 25, "16.242205"},
+	{"tokensregex:best way to check", false, 37, "14.929754"},
 	{"tokensregex:to get to", true, 6, "0.000000"},
 	{"tokensregex:get to", true, 6, "0.000000"},
-	{"tokensregex:get", false, 51, "5.147334"},
-	{"tokensregex:i get", false, 42, "5.147334"},
-	{"tokensregex:can i get", false, 41, "4.689860"},
-	{"tokensregex:can i get a", false, 41, "4.689860"},
+	{"tokensregex:get", false, 51, "8.719565"},
+	{"tokensregex:i get", false, 42, "8.719565"},
+	{"tokensregex:can i get", false, 41, "8.249672"},
+	{"tokensregex:can i get a", false, 41, "8.249672"},
 }
 
 var goldenPositives = []int{7, 75, 210, 211, 246, 262, 462, 499, 587}
 
 // TestGoldenReplayThroughRemoteLabeler pins the whole new surface end to
 // end: the recorded transcript must replay bit-identically through
-// darwin.NewClient → HTTP /v2 → server SDK adapter → core.Session — same
+// darwin.NewClient → HTTP /v2 → server SDK adapter → workspace — same
 // suggestion sequence, same coverage counts, same benefit floats (float64
 // survives the JSON round trip exactly), same final positive set.
 func TestGoldenReplayThroughRemoteLabeler(t *testing.T) {
@@ -49,7 +48,7 @@ func TestGoldenReplayThroughRemoteLabeler(t *testing.T) {
 
 // TestGoldenReplayThroughRouter pins the sharded deployment to the same
 // bar: one extra hop (client → darwin-router's /v2 → shard's /v2 → adapter
-// → core) must not perturb a single float or suggestion.
+// → workspace) must not perturb a single float or suggestion.
 func TestGoldenReplayThroughRouter(t *testing.T) {
 	testGoldenReplay(t, newRouterTestServer(t))
 }
