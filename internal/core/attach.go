@@ -69,9 +69,8 @@ func (e *Engine) DefaultSeed() int64 { return e.cfg.Seed }
 
 // SetMaterializeHook registers f to be called — under the engine's index
 // write lock, in mutation order — with the rule specs of every seed-rule
-// materialization (MaterializeRule). A journaling
-// layer uses it to record index mutations in the exact order concurrent
-// readers observed them, which is what makes replay deterministic: the hook
+// materialization (MaterializeRule). A journaling layer uses it to record
+// index mutations in the exact order concurrent readers observed them, which is what makes replay deterministic: the hook
 // and the hierarchy-generating read paths are serialized by the same lock.
 // f must not call back into the engine. Pass nil to clear.
 //

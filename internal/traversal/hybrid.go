@@ -50,7 +50,19 @@ func (hs *HybridSearch) InUniversalMode() bool { return hs.universalMode }
 
 // Next implements Traversal (Algorithm 5 lines 6-13). If the active mode has
 // no candidate to propose, it switches immediately rather than stalling.
+// When neither mode has one, Next leaves the search as it found it: a
+// workspace asks again once other annotators free candidates, and an empty
+// proposal must not count as an attempt.
 func (hs *HybridSearch) Next(st *State) (string, bool) {
+	mode, attempts := hs.universalMode, hs.attempts
+	key, ok := hs.next(st)
+	if !ok {
+		hs.universalMode, hs.attempts = mode, attempts
+	}
+	return key, ok
+}
+
+func (hs *HybridSearch) next(st *State) (string, bool) {
 	if hs.attempts >= hs.Tau {
 		hs.toggle()
 	}

@@ -50,7 +50,7 @@ func (ls *LocalSearch) Name() string { return "local" }
 // feedback still expands the frontier, exactly as in Algorithm 3); and if the
 // local candidate set is empty (e.g. the pipeline was seeded with positive
 // sentences rather than a seed rule), the search bootstraps from the current
-// hierarchy.
+// hierarchy. A Next that finds nothing leaves the search unchanged.
 func (ls *LocalSearch) Next(st *State) (string, bool) {
 	key, ok := ls.pick(st)
 	if ok {

@@ -650,27 +650,28 @@ func (ws *Workspace) viewLocked(ix *index.Index) *traversal.State {
 // traversal is Reseeded around the seed rules. Assigned-but-unanswered keys
 // are in ws.queried, which is what keeps concurrent annotators disjoint. A
 // pick that finds nothing assigns and journals nothing, so it must leave no
-// trace either: the traversal state it touched is rolled back. Callers hold
-// ws.mu and the engine read lock.
+// trace: the built-in traversals leave their state unchanged then, and a
+// failed first pick rolls its Reseed back. Callers hold ws.mu and the
+// engine read lock.
 //
 //darwin:replaypure
 func (ws *Workspace) pickLocked(st *traversal.State) (string, bool) {
+	if ws.seeded {
+		return ws.trav.Next(st)
+	}
 	saved, restorable := traversal.Save(ws.trav)
-	seeded := ws.seeded
-	if !ws.seeded {
-		for _, k := range ws.seedKeys {
-			ws.trav.Reseed(st, k)
-		}
-		ws.seeded = true
+	for _, k := range ws.seedKeys {
+		ws.trav.Reseed(st, k)
 	}
 	key, ok := ws.trav.Next(st)
 	if !ok {
 		if restorable {
 			traversal.Load(ws.trav, saved)
 		}
-		ws.seeded = seeded
+		return "", false
 	}
-	return key, ok
+	ws.seeded = true
+	return key, true
 }
 
 // Answer records an annotator's verdict on their pending suggestion: it
