@@ -11,6 +11,7 @@ import (
 	"repro/internal/autolabel"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/workspace"
 )
 
 // autolabelFloorPerSec is the corpus-scale labeling throughput guard: the
@@ -23,7 +24,7 @@ const autolabelFloorPerSec = 1_000_000.0 / 60
 // the numbers into BENCH_perf.json. Two quantities are tracked: raw pipeline
 // throughput (repeated in-process autolabel.Run rounds over the full-scale
 // directions corpus, output to io.Discard) and the end-to-end latency of one
-// job through the async Manager (journal append, queue, worker, partial
+// job through the async Manager (record bookkeeping, queue, worker, partial
 // rename) — the tax of the job machinery over the raw pipeline.
 func runAutolabel(perfPath string) error {
 	header("Autolabel: corpus-scale labeling throughput -> " + perfPath)
@@ -85,13 +86,9 @@ func runAutolabel(perfPath string) error {
 		return err
 	}
 	defer os.RemoveAll(jobsDir)
-	mgr, err := autolabel.NewManager(autolabel.ManagerConfig{Dir: jobsDir},
-		func(name string) (*core.Engine, bool) {
-			if name == dataset {
-				return engine, true
-			}
-			return nil, false
-		})
+	// A journal-less workspace manager holds the job records in memory.
+	store := workspace.NewManager(map[string]*core.Engine{dataset: engine}, nil, workspace.ManagerConfig{})
+	mgr, err := autolabel.NewManager(autolabel.ManagerConfig{Dir: jobsDir}, store)
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,10 @@ import (
 // TestLabelingJobCrashRecoverySIGKILL is the end-to-end durability test for
 // the async labeling-job subsystem: a real darwind process is SIGKILLed while
 // a job is mid-run (no shutdown hook, the journal has the create record but
-// no terminal record), restarted with the same -jobs-dir, and must re-run the
-// job under its original id to output bytes identical to a fresh job of the
-// same spec — the pipeline is a pure function of (corpus, spec).
+// no terminal record), restarted with the same -journal and -jobs-dir, and
+// must re-run the job under its original id to output bytes identical to a
+// fresh job of the same spec — the pipeline is a pure function of (corpus,
+// spec).
 func TestLabelingJobCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the darwind binary; skipped in -short")
@@ -32,6 +33,7 @@ func TestLabelingJobCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	jobsDir := filepath.Join(dir, "jobs")
+	journalPath := filepath.Join(dir, "journal.jsonl")
 
 	// Identical flags across runs: the corpus must rebuild identically for
 	// the re-run to be byte-deterministic.
@@ -42,6 +44,7 @@ func TestLabelingJobCrashRecoverySIGKILL(t *testing.T) {
 		"-seed", "7",
 		"-candidates", "400",
 		"-sketch-depth", "4",
+		"-journal", journalPath,
 		"-jobs-dir", jobsDir,
 		"-job-workers", "1",
 	}
@@ -119,8 +122,8 @@ func TestLabelingJobCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc1.Wait()
-	if fi, err := os.Stat(filepath.Join(jobsDir, "jobs.log")); err != nil || fi.Size() == 0 {
-		t.Fatalf("job journal missing or empty after kill: %v", err)
+	if fi, err := os.Stat(journalPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("journal missing or empty after kill: %v", err)
 	}
 
 	proc2, addr2 := start()

@@ -63,7 +63,7 @@ func main() {
 		sketchD    = flag.Int("sketch-depth", 5, "derivation sketch depth")
 		useTree    = flag.Bool("treematch", false, "enable the TreeMatch grammar (dependency-parse rules)")
 		journalP   = flag.String("journal", "", "path to the workspace event journal (makes every labeler's workspace durable, with crash recovery)")
-		jobsDir    = flag.String("jobs-dir", "", "directory for async labeling jobs: job journal plus labeled JSONL outputs (empty disables /v2 labeling jobs)")
+		jobsDir    = flag.String("jobs-dir", "", "directory for the labeled JSONL outputs of async labeling jobs, whose records ride -journal (requires -journal; empty disables /v2 labeling jobs)")
 		jobWorkers = flag.Int("job-workers", 2, "concurrent labeling-job workers")
 		jobTTL     = flag.Duration("job-ttl", time.Hour, "evict finished labeling jobs (and their outputs) this long after completion")
 		wsTTL      = flag.Duration("workspace-ttl", workspace.DefaultTTL, "evict workspaces (solo labelers included) idle longer than this")

@@ -58,7 +58,7 @@ var (
 	ErrUnknownJob = errors.New("autolabel: unknown job")
 	// ErrNotDone reports an output request for a job that has not completed.
 	ErrNotDone = errors.New("autolabel: job is not done")
-	// ErrDisabled reports that the manager is not configured (no jobs dir).
+	// ErrDisabled reports a closed manager (or a server without jobs dir).
 	ErrDisabled = errors.New("autolabel: labeling jobs are disabled")
 )
 
@@ -206,6 +206,13 @@ type labeledRecord struct {
 // processes and routes. ctx is checked between chunks and rules; a canceled
 // run returns ctx.Err() with the output truncated.
 func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress Progress) (Result, error) {
+	return runPrefix(ctx, eng, spec, 0, w, progress)
+}
+
+// runPrefix is Run over the first n sentences of the corpus (n = 0: the
+// whole corpus). A labeling job pins n when it is submitted, so a re-run
+// after later ingest labels exactly the sentences the first run did.
+func runPrefix(ctx context.Context, eng *core.Engine, spec Spec, n int, w io.Writer, progress Progress) (Result, error) {
 	if err := spec.Validate(eng); err != nil {
 		return Result{}, err
 	}
@@ -217,7 +224,12 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	// corpus under a running job, which would desynchronize n, the vote
 	// matrix and the output stream.
 	corp := eng.CorpusView()
-	n := corp.Len()
+	switch {
+	case n == 0:
+		n = corp.Len()
+	case n > corp.Len():
+		return Result{}, fmt.Errorf("autolabel: corpus has %d sentences, the job was submitted over %d", corp.Len(), n)
+	}
 	numRules := len(sp.Rules) + len(sp.NegativeRules)
 
 	// Stage 1: resolve every rule to its coverage bitset (index bits are
@@ -262,7 +274,7 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 		progress(StageVotes, i+1, numRules)
 	}
 	// Rule bitsets resolved against the live index may cover sentences
-	// ingested after the snapshot view was taken; count only ids inside it.
+	// ingested after the labeled prefix; count only ids inside it.
 	covered := 0
 	union.Range(func(id int) bool {
 		if id >= n {

@@ -16,7 +16,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
+	"repro/internal/ingest"
+	"repro/internal/journal"
 	"repro/internal/tokensregex"
+	"repro/internal/workspace"
 )
 
 // testEngine builds a small directions engine with the fast configuration the
@@ -147,19 +150,86 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// journalPath is where the test managers' shared workspace journal lives.
+func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
+
+// newTestManager opens the workspace journal in dir (recovering whatever it
+// holds) and starts a job manager over it with outputs in dir — what a
+// darwind with -journal and -jobs-dir does at start.
 func newTestManager(t *testing.T, dir string, eng *core.Engine) *Manager {
 	t.Helper()
-	m, err := NewManager(ManagerConfig{Dir: dir, Workers: 1, Logf: t.Logf},
-		func(name string) (*core.Engine, bool) {
-			if name == "directions" {
-				return eng, true
-			}
-			return nil, false
-		})
+	jw, events, err := journal.Open(journalPath(dir), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := workspace.NewManager(map[string]*core.Engine{"directions": eng}, jw, workspace.ManagerConfig{})
+	store.Recover(events)
+	t.Cleanup(func() { store.Close() })
+	m, err := NewManager(ManagerConfig{Dir: dir, Workers: 1, Logf: t.Logf}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// closeManager stops the job manager and closes its journal, as a server
+// shutdown does, so the next newTestManager on the same dir reopens it.
+func closeManager(t *testing.T, m *Manager) {
+	t.Helper()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeJobEvents appends raw job events to the journal in dir, bypassing
+// the manager's dedup — the shapes only a crash or an older log leaves.
+func writeJobEvents(t *testing.T, dir string, recs ...workspace.JobRecord) {
+	t.Helper()
+	jw, _, err := journal.Open(journalPath(dir), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if _, err := jw.Append("job", "", "directions", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func jobRec(t *testing.T, kind, id string, body jobBody) workspace.JobRecord {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workspace.JobRecord{Kind: kind, ID: id, Body: data}
+}
+
+// journalJobEvents returns the job events in dir's journal, per job id.
+func journalJobEvents(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	events, err := journal.ReadAll(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	for _, ev := range events {
+		if ev.Type != "job" {
+			continue
+		}
+		var rec workspace.JobRecord
+		if err := json.Unmarshal(ev.Data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		out[rec.ID] = append(out[rec.ID], rec.Kind)
+	}
+	return out
 }
 
 func waitDone(t *testing.T, m *Manager, id string) JobStatus {
@@ -234,15 +304,15 @@ func TestManagerReplayInterruptedJob(t *testing.T) {
 	// A create record with no terminal record is exactly what a SIGKILL
 	// mid-job leaves behind; a torn trailing line is a crash mid-append.
 	spec := testSpec()
-	rec, err := json.Marshal(jobRecord{Type: "create", ID: "jdeadbeef00000000", Dataset: "directions", Spec: &spec, Unix: 1})
+	writeJobEvents(t, dir, jobRec(t, workspace.JobCreate, "jdeadbeef00000000", jobBody{Spec: &spec, CorpusLen: eng.CorpusLen(), Unix: 1}))
+	f, err := os.OpenFile(journalPath(dir), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := append(rec, '\n')
-	journal = append(journal, []byte(`{"type":"done","id":"jdeadbe`)...) // torn tail
-	if err := os.WriteFile(filepath.Join(dir, "jobs.log"), journal, 0o644); err != nil {
+	if _, err := f.WriteString(`{"seq":2,"type":"job","dataset":"directions","data":{"kind":"done","id":"jdeadbe`); err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 
 	m := newTestManager(t, dir, eng)
 	defer m.Close()
@@ -265,9 +335,7 @@ func TestManagerReopenRestoresAndRebuilds(t *testing.T) {
 	}
 	st = waitDone(t, m, st.ID)
 	want := readOutput(t, m, st.ID, 0)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeManager(t, m)
 
 	// Reopen: the done record restores the status without re-running.
 	m2 := newTestManager(t, dir, eng)
@@ -281,9 +349,7 @@ func TestManagerReopenRestoresAndRebuilds(t *testing.T) {
 	if got := readOutput(t, m2, st.ID, 0); !bytes.Equal(got, want) {
 		t.Error("output changed across reopen")
 	}
-	if err := m2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeManager(t, m2)
 
 	// Delete the output: reopen must notice and rebuild identical bytes.
 	if err := os.Remove(m2.OutputPath(st.ID)); err != nil {
@@ -297,6 +363,52 @@ func TestManagerReopenRestoresAndRebuilds(t *testing.T) {
 	}
 	if got := readOutput(t, m3, st.ID, 0); !bytes.Equal(got, want) {
 		t.Error("rebuilt output differs from original")
+	}
+}
+
+// TestManagerRebuildPinsCorpus pins that a job labels the corpus it was
+// submitted over: after later ingest, rebuilding a lost output must write
+// the original bytes and result, not label the grown corpus.
+func TestManagerRebuildPinsCorpus(t *testing.T) {
+	eng := testEngine(t)
+	dir := t.TempDir()
+	m := newTestManager(t, dir, eng)
+	st, err := m.Submit("directions", testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitDone(t, m, st.ID)
+	want := readOutput(t, m, st.ID, 0)
+	before := eng.CorpusLen()
+	// The batch matches "best way to get to" but not "how do i get": that
+	// key is pruned at boot, and a pruned key that ingest re-creates covers
+	// only the ingested sentences — an index defect of its own, which would
+	// change the rebuilt bytes however the job pins its corpus.
+	if _, _, err := m.store.Ingest("directions", []ingest.Sentence{
+		{Text: "best way to get to the ferry terminal"},
+		{Text: "the weather is lovely today"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if eng.CorpusLen() != before+2 {
+		t.Fatalf("corpus has %d sentences after ingest, want %d", eng.CorpusLen(), before+2)
+	}
+	closeManager(t, m)
+	if err := os.Remove(m.OutputPath(st.ID)); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newTestManager(t, dir, eng)
+	defer m2.Close()
+	st2 := waitDone(t, m2, st.ID)
+	if st2.State != StateDone {
+		t.Fatalf("rebuilt job ended %s: %s", st2.State, st2.Error)
+	}
+	if st2.Sentences != before || st2.Covered != st.Covered || st2.Positives != st.Positives || st2.OutputBytes != st.OutputBytes {
+		t.Errorf("rebuilt status %+v, want the original %+v over %d sentences", st2, st, before)
+	}
+	if got := readOutput(t, m2, st.ID, 0); !bytes.Equal(got, want) {
+		t.Errorf("rebuilt output (%d bytes) differs from the original (%d bytes)", len(got), len(want))
 	}
 }
 
@@ -326,29 +438,20 @@ func TestPosThresholdExplicitZero(t *testing.T) {
 }
 
 // TestManagerReplayDuplicateTerminalRecords pins that replay tolerates a
-// journal holding several terminal records for one id (the shape a rebuilt
-// output leaves behind) instead of panicking on a double close of j.done.
+// journal holding several terminal records for one id: the first terminal
+// record wins, and later ones change nothing.
 func TestManagerReplayDuplicateTerminalRecords(t *testing.T) {
 	eng := testEngine(t)
 	dir := t.TempDir()
 	spec := testSpec()
 	res := Result{Sentences: 5, Rules: 2, Covered: 3, Positives: 2, OutputBytes: 11}
-	var journal []byte
-	for _, rec := range []jobRecord{
-		{Type: "create", ID: "jdup0000000000000", Dataset: "directions", Spec: &spec, Unix: 1},
-		{Type: "done", ID: "jdup0000000000000", Result: &res, Unix: time.Now().Unix()},
-		{Type: "done", ID: "jdup0000000000000", Result: &res, Unix: time.Now().Unix()},
-		{Type: "failed", ID: "jdup0000000000000", Error: "boom", Unix: time.Now().Unix()},
-	} {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journal = append(append(journal, line...), '\n')
-	}
-	if err := os.WriteFile(filepath.Join(dir, "jobs.log"), journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	now := time.Now().Unix()
+	writeJobEvents(t, dir,
+		jobRec(t, workspace.JobCreate, "jdup0000000000000", jobBody{Spec: &spec, CorpusLen: 5, Unix: 1}),
+		jobRec(t, workspace.JobDone, "jdup0000000000000", jobBody{Result: &res, Unix: now}),
+		jobRec(t, workspace.JobDone, "jdup0000000000000", jobBody{Result: &Result{Sentences: 9}, Unix: now}),
+		jobRec(t, workspace.JobFailed, "jdup0000000000000", jobBody{Error: "boom", Unix: now}),
+	)
 	if err := os.WriteFile(filepath.Join(dir, "jdup0000000000000.jsonl"), []byte("x\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -358,48 +461,55 @@ func TestManagerReplayDuplicateTerminalRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || st.Error != "" || st.Covered != res.Covered {
+	if st.State != StateDone || st.Error != "" || st.Covered != res.Covered || st.Sentences != res.Sentences {
 		t.Errorf("replayed status %+v, want done matching the first terminal record", st)
 	}
 }
 
-// TestManagerJournalCompaction drives the rebuild lifecycle through real
-// manager opens: losing a done job's output makes the reopen re-enqueue it,
-// compact the stale "done" record away, and journal a fresh one when the
-// rebuild finishes — so the journal stays at one create + at most one
-// terminal record per job across any number of reopens.
+// TestManagerJournalCompaction drives the record lifecycle through the
+// shared journal: a rebuilt output's second done record and an expired
+// job's records must not survive a forced workspace.Manager.Compact, which
+// keeps one create plus at most one terminal record per live job.
 func TestManagerJournalCompaction(t *testing.T) {
 	eng := testEngine(t)
 	dir := t.TempDir()
-	journalLines := func() int {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bytes.Count(data, []byte("\n"))
-	}
 	m := newTestManager(t, dir, eng)
+	expired, err := m.Submit("directions", testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, expired.ID)
+	m.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	if _, err := m.Status(expired.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("expired job status: %v", err)
+	}
+	m.now = time.Now
 	st, err := m.Submit("directions", testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, m, st.ID)
 	want := readOutput(t, m, st.ID, 0)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeManager(t, m)
 	if err := os.Remove(m.OutputPath(st.ID)); err != nil {
 		t.Fatal(err)
 	}
 
 	m2 := newTestManager(t, dir, eng)
 	waitDone(t, m2, st.ID)
-	if err := m2.Close(); err != nil {
+	if err := m2.store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := journalLines(); got != 2 {
-		t.Fatalf("journal after rebuild has %d records, want 2 (create + fresh done)", got)
+	closeManager(t, m2)
+	recs := journalJobEvents(t, dir)
+	if got := recs[st.ID]; len(got) != 2 || got[0] != workspace.JobCreate || got[1] != workspace.JobDone {
+		t.Errorf("compacted journal holds %v for the live job, want [create done]", got)
+	}
+	if got := recs[expired.ID]; len(got) != 0 {
+		t.Errorf("compacted journal holds %v for the expired job, want nothing", got)
+	}
+	if len(recs) != 1 {
+		t.Errorf("compacted journal holds job records for %d ids, want 1", len(recs))
 	}
 
 	m3 := newTestManager(t, dir, eng)
@@ -409,13 +519,13 @@ func TestManagerJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st3.State != StateDone {
-		t.Fatalf("job is %s after compacting reopen: %s", st3.State, st3.Error)
+		t.Fatalf("job is %s after compaction: %s", st3.State, st3.Error)
 	}
 	if got := readOutput(t, m3, st.ID, 0); !bytes.Equal(got, want) {
-		t.Error("output changed across compacting reopen")
+		t.Error("output changed across compaction")
 	}
-	if got := journalLines(); got != 2 {
-		t.Errorf("compacted journal has %d records, want 2 (create + done)", got)
+	if _, err := m3.Status(expired.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("expired job resurrected by compaction: %v", err)
 	}
 }
 
@@ -435,21 +545,75 @@ func TestManagerExpiredJobsStayDeadAcrossReopen(t *testing.T) {
 	if _, err := m.Status(st.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("expired job status: %v", err)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeManager(t, m)
 
 	m2 := newTestManager(t, dir, eng)
 	defer m2.Close()
 	if _, err := m2.Status(st.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("expired job resurrected across reopen: %v", err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
+	if jobs := m2.store.Jobs(""); len(jobs) != 0 {
+		t.Errorf("the journal still retains %d expired jobs", len(jobs))
+	}
+}
+
+// TestManagerDropCancelsDatasetJobs pins the demotion path: once the store
+// evicts a dataset, Drop cancels its running job and forgets its finished
+// one (output deleted), and neither comes back on reopen.
+func TestManagerDropCancelsDatasetJobs(t *testing.T) {
+	eng := testEngine(t)
+	dir := t.TempDir()
+	m := newTestManager(t, dir, eng)
+	done, err := m.Submit("directions", testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bytes.TrimSpace(data)) != 0 {
-		t.Errorf("journal not compacted after expiry:\n%s", data)
+	waitDone(t, m, done.ID)
+	slowSpec := testSpec()
+	// Keeps the job in its aggregate stage past the drop; the cancel lands
+	// at the next chunk boundary of the write stage.
+	slowSpec.EMIterations = 100000
+	running, err := m.Submit("directions", slowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st, _ := m.Status(running.ID); st.State != StateRunning; st, _ = m.Status(running.ID) {
+		time.Sleep(time.Millisecond)
+	}
+	waited := make(chan JobStatus, 1)
+	go func() {
+		st, err := m.Wait(context.Background(), running.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- st
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter find the job
+	if _, jobs := m.store.EvictDataset("directions", "demoted"); len(jobs) != 2 {
+		t.Fatalf("store evicted %d jobs, want 2", len(jobs))
+	}
+	m.Drop("directions")
+	select {
+	case st := <-waited:
+		if st.State == StateDone {
+			t.Error("dropped job ran to completion")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("dropped running job was not canceled")
+	}
+	for _, id := range []string{done.ID, running.ID} {
+		if _, err := m.Status(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("dropped job %s: %v, want ErrUnknownJob", id, err)
+		}
+	}
+	if _, err := os.Stat(m.OutputPath(done.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("dropped job's output still on disk: %v", err)
+	}
+	closeManager(t, m)
+	m2 := newTestManager(t, dir, eng)
+	defer m2.Close()
+	if _, err := m2.Status(running.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("dropped job came back on reopen: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package autolabel
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -11,12 +10,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/workspace"
 )
 
 // Job-subsystem telemetry: fleet dashboards watch queue depth and failure
@@ -69,8 +68,8 @@ type JobStatus struct {
 
 // ManagerConfig configures a labeling-job Manager.
 type ManagerConfig struct {
-	// Dir holds the job journal (jobs.log) and per-job outputs
-	// (<id>.jsonl). Required.
+	// Dir holds the finished outputs (<id>.jsonl) only; job records live in
+	// the workspace manager's journal. Required.
 	Dir string
 	// Workers bounds concurrent job execution (default 2).
 	Workers int
@@ -81,22 +80,16 @@ type ManagerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// jobRecord is one line of the jobs journal. "create" records the resolved
-// spec; "done"/"failed" mark terminal states; "expire" records a TTL sweep
-// that deleted the job and its output, so replay does not resurrect it. A
-// create without a terminal record is an interrupted job: reopening the
-// manager re-enqueues it, and because Run is deterministic the re-run
-// reproduces the exact output the crashed run would have produced.
-type jobRecord struct {
-	Type    string  `json:"type"` // create | done | failed | expire
-	ID      string  `json:"id"`
-	Dataset string  `json:"dataset,omitempty"`
-	Spec    *Spec   `json:"spec,omitempty"`
-	Result  *Result `json:"result,omitempty"`
-	Error   string  `json:"error,omitempty"`
-	// Unix is the wall-clock seconds of the record, used only for TTL
-	// expiry of terminal jobs (never for output content).
-	Unix int64 `json:"unix,omitempty"`
+// jobBody is the payload of a workspace.JobRecord: the resolved spec and
+// the corpus length pinned at submit (0 for uploaded corpora) on create,
+// the result on done, the error on failed. Unix is the record's wall-clock
+// second, used only for TTL expiry.
+type jobBody struct {
+	Spec      *Spec   `json:"spec,omitempty"`
+	CorpusLen int     `json:"corpus_len,omitempty"`
+	Result    *Result `json:"result,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	Unix      int64   `json:"unix,omitempty"`
 }
 
 // job is the manager's in-memory view of one labeling job.
@@ -105,16 +98,15 @@ type job struct {
 	dataset string
 	spec    Spec
 
-	mu         sync.Mutex
-	state      string
-	stage      string
-	rules      int
-	n          int // corpus size, known once running
-	labeled    int // write-stage progress
-	result     Result
-	err        error
-	createUnix int64
-	doneUnix   int64
+	mu       sync.Mutex
+	state    string
+	stage    string
+	n        int // corpus size; for the resident corpus, pinned at submit
+	labeled  int // write-stage progress
+	result   Result
+	err      error
+	doneUnix int64
+	cancel   context.CancelFunc // set while running
 
 	done chan struct{}
 }
@@ -145,20 +137,21 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// Manager runs labeling jobs against a fixed set of engines with bounded
-// worker concurrency, a TTL'd job store, and a journal that makes job status
-// and outputs survive a crash: on reopen, terminal jobs are restored from
-// their records and interrupted jobs are re-enqueued (deterministic Run makes
-// the re-run byte-identical to what the lost run would have written).
-type Manager struct {
-	cfg     ManagerConfig
-	engines func(dataset string) (*core.Engine, bool)
+// terminal reports whether the job is done or failed. Callers hold j.mu.
+func (j *job) terminal() bool { return j.state == StateDone || j.state == StateFailed }
 
-	mu      sync.Mutex //darwin:lockrank job
-	jobs    map[string]*job
-	journal *os.File
-	jw      *bufio.Writer
-	closed  bool
+// Manager runs labeling jobs on the workspace manager's engines with
+// bounded worker concurrency and a TTL'd job table. Job records ride the
+// workspace manager's journal, so they compact, replicate and fail over
+// with their dataset; the Manager keeps only execution: workers, queue,
+// outputs under Dir, and expiry.
+type Manager struct {
+	cfg   ManagerConfig
+	store *workspace.Manager
+
+	mu     sync.Mutex //darwin:lockrank job
+	jobs   map[string]*job
+	closed bool
 
 	queue  chan *job
 	wg     sync.WaitGroup
@@ -169,11 +162,9 @@ type Manager struct {
 	now func() time.Time
 }
 
-// NewManager opens (or creates) the job store in cfg.Dir, replays the job
-// journal, restores terminal job statuses, and re-enqueues interrupted jobs.
-// The engines resolver maps a dataset name to its engine; jobs for datasets
-// the resolver no longer knows are dropped on replay.
-func NewManager(cfg ManagerConfig, engines func(dataset string) (*core.Engine, bool)) (*Manager, error) {
+// NewManager starts the job workers and loads every job the store retains.
+// A journal-less store keeps the records in memory only.
+func NewManager(cfg ManagerConfig, store *workspace.Manager) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("autolabel: manager requires a directory")
 	}
@@ -191,239 +182,121 @@ func NewManager(cfg ManagerConfig, engines func(dataset string) (*core.Engine, b
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:     cfg,
-		engines: engines,
-		jobs:    make(map[string]*job),
-		queue:   make(chan *job, 128),
-		ctx:     ctx,
-		cancel:  cancel,
-		now:     time.Now,
+		cfg:    cfg,
+		store:  store,
+		jobs:   make(map[string]*job),
+		queue:  make(chan *job, 128),
+		ctx:    ctx,
+		cancel: cancel,
+		now:    time.Now,
 	}
-	pending, order, err := m.replay()
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if err := m.compactJournal(order); err != nil {
-		cancel()
-		return nil, err
-	}
-	f, err := os.OpenFile(m.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("autolabel: open job journal: %w", err)
-	}
-	m.journal = f
-	m.jw = bufio.NewWriter(f)
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	// Re-enqueue interrupted jobs in journal order so recovery is
-	// deterministic.
-	for _, j := range pending {
-		m.cfg.Logf("autolabel: re-enqueueing interrupted job %s (dataset %s)", j.id, j.dataset)
-		m.queue <- j
-	}
-	m.updateStateGauges()
+	m.Load("")
 	return m, nil
 }
-
-func (m *Manager) journalPath() string { return filepath.Join(m.cfg.Dir, "jobs.log") }
 
 // OutputPath returns where the job's finished output lives.
 func (m *Manager) OutputPath(id string) string {
 	return filepath.Join(m.cfg.Dir, id+".jsonl")
 }
 
-// replay reads the journal and rebuilds the job table. It returns the jobs
-// that must re-run — creates without a terminal record, plus unexpired done
-// jobs whose output file has gone missing — and the journal order of the
-// surviving jobs (for deterministic re-enqueueing and compaction). Torn
-// trailing lines (crash mid-append) are tolerated and dropped, as are
-// duplicate terminal records for an id already in a terminal state (a
-// rebuilt output appends a second "done" for the same job).
-func (m *Manager) replay() (pending []*job, order []string, err error) {
-	f, err := os.Open(m.journalPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("autolabel: open job journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	terminal := func(j *job) bool { return j.state == StateDone || j.state == StateFailed }
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec jobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail from a crash mid-append; everything before it
-			// already replayed.
-			break
-		}
-		switch rec.Type {
-		case "create":
-			if rec.Spec == nil {
-				continue
-			}
-			j := &job{
-				id:         rec.ID,
-				dataset:    rec.Dataset,
-				spec:       *rec.Spec,
-				state:      StateQueued,
-				createUnix: rec.Unix,
-				done:       make(chan struct{}),
-			}
-			m.jobs[rec.ID] = j
-			order = append(order, rec.ID)
-		case "done":
-			if j, ok := m.jobs[rec.ID]; ok && rec.Result != nil && !terminal(j) {
-				j.state = StateDone
-				j.result = *rec.Result
-				j.n = rec.Result.Sentences
-				j.labeled = rec.Result.Sentences
-				j.doneUnix = rec.Unix
-				close(j.done)
-			}
-		case "failed":
-			if j, ok := m.jobs[rec.ID]; ok && !terminal(j) {
-				j.state = StateFailed
-				j.err = errors.New(rec.Error)
-				j.doneUnix = rec.Unix
-				close(j.done)
-			}
-		case "expire":
-			// TTL sweep deleted the job and its output; do not resurrect.
-			delete(m.jobs, rec.ID)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("autolabel: read job journal: %w", err)
-	}
+// Load adds the store's retained jobs of a dataset ("" for all) that the
+// table lacks: at start, and after a promotion adopted a standby's records.
+// Terminal jobs past the TTL expire. Interrupted jobs re-run, and so do done
+// jobs whose output is missing (lost, or never replicated to a promoted
+// follower); Run is deterministic, so a re-run writes the same bytes.
+func (m *Manager) Load(dataset string) {
 	cutoff := m.now().Add(-m.cfg.TTL).Unix()
-	kept := order[:0]
-	for _, id := range order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue // expired
-		}
-		if _, ok := m.engines(j.dataset); !ok {
-			m.cfg.Logf("autolabel: dropping job %s for unknown dataset %s", id, j.dataset)
-			delete(m.jobs, id)
+	for _, rj := range m.store.Jobs(dataset) {
+		j, err := jobFromRecords(rj)
+		if err != nil {
+			m.cfg.Logf("autolabel: skipping job %s: %v", rj.Records[0].ID, err)
 			continue
 		}
-		switch j.state {
-		case StateQueued:
-			pending = append(pending, j)
-		case StateDone:
-			if _, err := os.Stat(m.OutputPath(id)); err != nil {
-				if j.doneUnix > 0 && j.doneUnix < cutoff {
-					// Past the TTL anyway (e.g. a sweep whose expire record
-					// was lost): drop instead of re-running work only a
-					// sweep would immediately delete.
-					m.cfg.Logf("autolabel: dropping expired job %s with missing output", id)
-					delete(m.jobs, id)
-					continue
-				}
-				// Output lost (crash between rename and journal sync, or
-				// manual deletion): determinism lets us rebuild it.
-				m.cfg.Logf("autolabel: output of done job %s missing, re-running", id)
-				j.state = StateQueued
-				j.done = make(chan struct{})
-				pending = append(pending, j)
-			}
-		}
-		kept = append(kept, id)
-	}
-	return pending, kept, nil
-}
-
-// compactJournal rewrites jobs.log down to the minimal record set for the
-// jobs that survived replay — one create per job plus at most one terminal
-// record — dropping expire records, duplicate terminal records, and records
-// of expired or unknown-dataset jobs. Called on every open (before the
-// append handle exists), it bounds journal growth across restarts.
-func (m *Manager) compactJournal(order []string) error {
-	if _, err := os.Stat(m.journalPath()); errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	tmp := m.journalPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, id := range order {
-		j, ok := m.jobs[id]
-		if !ok {
+		if j.terminal() && j.doneUnix < cutoff {
+			m.expire(j)
 			continue
 		}
-		recs := []jobRecord{{Type: "create", ID: j.id, Dataset: j.dataset, Spec: &j.spec, Unix: j.createUnix}}
-		switch j.state {
-		case StateDone:
-			res := j.result
-			recs = append(recs, jobRecord{Type: "done", ID: j.id, Result: &res, Unix: j.doneUnix})
-		case StateFailed:
-			recs = append(recs, jobRecord{Type: "failed", ID: j.id, Error: j.err.Error(), Unix: j.doneUnix})
-		}
-		for _, rec := range recs {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return fail(err)
+		if j.state == StateDone {
+			if _, err := os.Stat(m.OutputPath(j.id)); err != nil {
+				j.state, j.done = StateQueued, make(chan struct{})
 			}
 		}
+		m.mu.Lock()
+		fresh := !m.closed && m.jobs[j.id] == nil
+		if fresh {
+			m.jobs[j.id] = j
+		}
+		m.mu.Unlock()
+		if fresh && j.state == StateQueued {
+			m.cfg.Logf("autolabel: re-running job %s (dataset %s)", j.id, j.dataset)
+			m.enqueue(j)
+		}
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	if err := os.Rename(tmp, m.journalPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	return nil
+	m.updateStateGauges()
 }
 
-// appendRecord durably journals one job record: the line is written,
-// flushed, and fsynced before appendRecord returns.
-//
-//darwin:journals
-func (m *Manager) appendRecord(rec jobRecord) error {
+// jobFromRecords rebuilds a job from its retained records.
+func jobFromRecords(rj workspace.Job) (*job, error) {
+	bodies := make([]jobBody, len(rj.Records))
+	for i, rec := range rj.Records {
+		if err := json.Unmarshal(rec.Body, &bodies[i]); err != nil {
+			return nil, fmt.Errorf("corrupt %s record: %v", rec.Kind, err)
+		}
+	}
+	if bodies[0].Spec == nil {
+		return nil, errors.New("create record without a spec")
+	}
+	j := &job{id: rj.Records[0].ID, dataset: rj.Dataset, spec: *bodies[0].Spec,
+		state: StateQueued, n: bodies[0].CorpusLen, done: make(chan struct{})}
+	if len(bodies) == 2 {
+		end := bodies[1]
+		switch {
+		case rj.Records[1].Kind == workspace.JobFailed:
+			j.state, j.err = StateFailed, errors.New(end.Error)
+		case end.Result != nil:
+			j.state, j.result = StateDone, *end.Result
+			j.n, j.labeled = end.Result.Sentences, end.Result.Sentences
+		default:
+			return nil, errors.New("done record without a result")
+		}
+		j.doneUnix = end.Unix
+		close(j.done)
+	}
+	return j, nil
+}
+
+// Drop forgets a dataset's jobs once the store dropped their records (the
+// demotion path): running jobs are canceled, queued ones never start, and
+// outputs are deleted — the jobs live on the promoted primary now.
+func (m *Manager) Drop(dataset string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrDisabled
+	for id, j := range m.jobs {
+		if j.dataset != dataset {
+			continue
+		}
+		delete(m.jobs, id)
+		j.mu.Lock()
+		if j.cancel != nil {
+			j.cancel()
+		}
+		j.mu.Unlock()
+		os.Remove(m.OutputPath(id))
 	}
-	line, err := json.Marshal(rec)
+	m.mu.Unlock()
+	m.updateStateGauges()
+}
+
+// record journals one job record through the store.
+func (m *Manager) record(j *job, kind string, body jobBody) error {
+	data, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	if _, err := m.jw.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("autolabel: append job record: %w", err)
-	}
-	if err := m.jw.Flush(); err != nil {
-		return fmt.Errorf("autolabel: flush job journal: %w", err)
-	}
-	return m.journal.Sync()
+	return m.store.AppendJob(j.dataset, workspace.JobRecord{Kind: kind, ID: j.id, Body: data})
 }
 
 func (m *Manager) updateStateGauges() {
@@ -450,10 +323,11 @@ func newJobID() string {
 }
 
 // Submit validates the spec, journals the job and enqueues it. The spec must
-// be fully resolved (no labeler reference). The returned status is the
+// be fully resolved (no labeler reference). A job on the resident corpus
+// pins the corpus length at submit. The returned status is the
 // queued-state snapshot carrying the job id.
 func (m *Manager) Submit(dataset string, spec Spec) (JobStatus, error) {
-	eng, ok := m.engines(dataset)
+	eng, ok := m.store.Engine(dataset)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownDataset, dataset)
 	}
@@ -461,15 +335,14 @@ func (m *Manager) Submit(dataset string, spec Spec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	m.sweep()
-	j := &job{
-		id:         newJobID(),
-		dataset:    dataset,
-		spec:       spec,
-		state:      StateQueued,
-		createUnix: m.now().Unix(),
-		done:       make(chan struct{}),
+	j := &job{id: newJobID(), dataset: dataset, spec: spec, state: StateQueued, done: make(chan struct{})}
+	if spec.Corpus == "" {
+		j.n = eng.CorpusLen()
 	}
-	if err := m.appendRecord(jobRecord{Type: "create", ID: j.id, Dataset: dataset, Spec: &spec, Unix: j.createUnix}); err != nil {
+	if m.ctx.Err() != nil {
+		return JobStatus{}, ErrDisabled // closing
+	}
+	if err := m.record(j, workspace.JobCreate, jobBody{Spec: &spec, CorpusLen: j.n, Unix: m.now().Unix()}); err != nil {
 		return JobStatus{}, err
 	}
 	m.mu.Lock()
@@ -479,10 +352,17 @@ func (m *Manager) Submit(dataset string, spec Spec) (JobStatus, error) {
 	}
 	m.jobs[j.id] = j
 	m.mu.Unlock()
+	m.enqueue(j)
+	m.updateStateGauges()
+	return j.status(), nil
+}
+
+// enqueue hands a job to the workers without blocking the caller.
+func (m *Manager) enqueue(j *job) {
 	select {
 	case m.queue <- j:
 	default:
-		// Queue full: run the enqueue blocking in a goroutine so Submit
+		// Queue full: run the enqueue blocking in a goroutine so the caller
 		// stays non-blocking; Close drains via context cancellation.
 		m.wg.Add(1)
 		go func() {
@@ -493,8 +373,6 @@ func (m *Manager) Submit(dataset string, spec Spec) (JobStatus, error) {
 			}
 		}()
 	}
-	m.updateStateGauges()
-	return j.status(), nil
 }
 
 // Status returns the job's current status.
@@ -564,55 +442,37 @@ func (m *Manager) OpenOutput(id string, offset int64) (io.ReadCloser, error) {
 	return f, nil
 }
 
-// Jobs lists statuses of all tracked jobs, newest unexpired first by id (ids
-// are random; ordering is lexicographic for determinism, not by time).
-func (m *Manager) Jobs() []JobStatus {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		m.mu.Lock()
-		j, ok := m.jobs[id]
-		m.mu.Unlock()
-		if ok {
-			out = append(out, j.status())
-		}
-	}
-	return out
-}
-
-// sweep drops terminal jobs older than the TTL, deletes their outputs, and
-// journals an "expire" record per job so replay does not resurrect them.
+// sweep drops terminal jobs older than the TTL.
 func (m *Manager) sweep() {
 	cutoff := m.now().Add(-m.cfg.TTL).Unix()
-	var expired []string
+	var expired []*job
 	m.mu.Lock()
 	for id, j := range m.jobs {
 		j.mu.Lock()
-		terminal := j.state == StateDone || j.state == StateFailed
-		old := j.doneUnix > 0 && j.doneUnix < cutoff
+		old := j.terminal() && j.doneUnix < cutoff
 		j.mu.Unlock()
-		if terminal && old {
-			expired = append(expired, id)
+		if old {
+			expired = append(expired, j)
 			delete(m.jobs, id)
 		}
 	}
 	m.mu.Unlock()
-	for _, id := range expired {
-		os.Remove(m.OutputPath(id))
-		if err := m.appendRecord(jobRecord{Type: "expire", ID: id, Unix: m.now().Unix()}); err != nil {
-			m.cfg.Logf("autolabel: journal expiry of %s: %v", id, err)
-		}
-		m.cfg.Logf("autolabel: expired job %s", id)
+	for _, j := range expired {
+		m.expire(j)
 	}
 	if len(expired) > 0 {
 		m.updateStateGauges()
 	}
+}
+
+// expire deletes a terminal job's output and journals an expire record, so
+// a later load does not resurrect the job.
+func (m *Manager) expire(j *job) {
+	os.Remove(m.OutputPath(j.id))
+	if err := m.record(j, workspace.JobExpire, jobBody{}); err != nil {
+		m.cfg.Logf("autolabel: journal expiry of %s: %v", j.id, err)
+	}
+	m.cfg.Logf("autolabel: expired job %s", j.id)
 }
 
 // worker executes jobs from the queue until the manager closes.
@@ -630,15 +490,27 @@ func (m *Manager) worker() {
 
 // run executes one job: stream the pipeline into <id>.jsonl.partial, rename
 // to <id>.jsonl, then journal the terminal record. The rename-then-journal
-// order means a "done" record always refers to a complete output file; a
+// order means a done record always refers to a complete output file; a
 // crash in between leaves a create-without-terminal record, and recovery
 // re-runs the job to the identical bytes.
 func (m *Manager) run(j *job) {
-	eng, ok := m.engines(j.dataset)
-	if !ok {
-		m.finishFailed(j, fmt.Errorf("%w: %q", ErrUnknownDataset, j.dataset))
+	// Checked and armed under m.mu, so a Drop either skips the job or
+	// cancels it.
+	ctx, cancel := context.WithCancel(m.ctx)
+	defer cancel()
+	m.mu.Lock()
+	live := m.jobs[j.id] == j
+	j.mu.Lock()
+	j.cancel = cancel
+	j.mu.Unlock()
+	m.mu.Unlock()
+	if !live {
+		close(j.done) // dropped while queued
 		return
 	}
+	// The store keeps no job records for a dataset it does not serve.
+	eng, _ := m.store.Engine(j.dataset)
+	n := j.n
 	if j.spec.Corpus != "" {
 		// Uploaded corpus: label the spec's own sentences through a
 		// streaming engine (same grammars/kernel/seed as the dataset, no
@@ -654,12 +526,12 @@ func (m *Manager) run(j *job) {
 			m.finishFailed(j, fmt.Errorf("%w: %v", ErrInvalidSpec, err))
 			return
 		}
-		eng = seng
+		eng, n = seng, seng.CorpusLen()
 	}
 	j.mu.Lock()
 	j.state = StateRunning
 	j.stage = StageResolve
-	j.n = eng.CorpusLen()
+	j.n = n
 	j.mu.Unlock()
 	m.updateStateGauges()
 
@@ -689,18 +561,18 @@ func (m *Manager) run(j *job) {
 			prevLabeled = done
 		}
 	}
-	res, err := Run(m.ctx, eng, j.spec, f, progress)
+	res, err := runPrefix(ctx, eng, j.spec, n, f, progress)
 	stageDurations.With(lastStage).ObserveSince(stageStart)
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("autolabel: close output: %w", cerr)
 	}
 	if err != nil {
 		os.Remove(partial)
-		if m.ctx.Err() != nil {
-			// Manager shutdown: leave the journal without a terminal record
-			// so the next open re-runs the job, but close j.done (back in
-			// the queued state) so in-process waiters unblock.
-			m.cfg.Logf("autolabel: job %s interrupted by shutdown", j.id)
+		if ctx.Err() != nil {
+			// Manager shutdown or a dropped dataset: journal no terminal
+			// record, so the next load re-runs the job, but close j.done
+			// (back in the queued state) so in-process waiters unblock.
+			m.cfg.Logf("autolabel: job %s interrupted", j.id)
 			j.mu.Lock()
 			j.state = StateQueued
 			j.stage = ""
@@ -716,6 +588,9 @@ func (m *Manager) run(j *job) {
 		return
 	}
 	now := m.now().Unix()
+	if err := m.record(j, workspace.JobDone, jobBody{Result: &res, Unix: now}); err != nil {
+		m.cfg.Logf("autolabel: journal done record for %s: %v", j.id, err)
+	}
 	j.mu.Lock()
 	j.state = StateDone
 	j.stage = ""
@@ -724,15 +599,15 @@ func (m *Manager) run(j *job) {
 	j.doneUnix = now
 	j.mu.Unlock()
 	close(j.done)
-	if err := m.appendRecord(jobRecord{Type: "done", ID: j.id, Result: &res, Unix: now}); err != nil {
-		m.cfg.Logf("autolabel: journal done record for %s: %v", j.id, err)
-	}
 	jobsCompleted.With("done").Inc()
 	m.updateStateGauges()
 }
 
 func (m *Manager) finishFailed(j *job, err error) {
 	now := m.now().Unix()
+	if jerr := m.record(j, workspace.JobFailed, jobBody{Error: err.Error(), Unix: now}); jerr != nil {
+		m.cfg.Logf("autolabel: journal failure record for %s: %v", j.id, jerr)
+	}
 	j.mu.Lock()
 	j.state = StateFailed
 	j.stage = ""
@@ -740,28 +615,18 @@ func (m *Manager) finishFailed(j *job, err error) {
 	j.doneUnix = now
 	j.mu.Unlock()
 	close(j.done)
-	if jerr := m.appendRecord(jobRecord{Type: "failed", ID: j.id, Error: err.Error(), Unix: now}); jerr != nil {
-		m.cfg.Logf("autolabel: journal failure record for %s: %v", j.id, jerr)
-	}
 	jobsCompleted.With("failed").Inc()
 	m.cfg.Logf("autolabel: job %s failed: %v", j.id, err)
 	m.updateStateGauges()
 }
 
-// Close stops the workers (canceling any running job without journaling a
-// terminal record, so it re-runs on reopen) and closes the journal.
+// Close stops the workers, canceling any running job without journaling a
+// terminal record, so it re-runs when the records are next loaded.
 func (m *Manager) Close() error {
 	m.cancel()
 	m.wg.Wait()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
 	m.closed = true
-	if err := m.jw.Flush(); err != nil {
-		m.journal.Close()
-		return err
-	}
-	return m.journal.Close()
+	m.mu.Unlock()
+	return nil
 }

@@ -38,12 +38,12 @@ type NodeOptions struct {
 	// layer derives for their attachments (status + promote responses, so
 	// the router can re-home handles).
 	LabelersFor func(wsIDs []string) []string
-	// AdoptLabelers registers serving-layer labelers for freshly adopted
-	// workspaces after a promotion and returns their IDs.
-	AdoptLabelers func(wsIDs []string) []string
-	// DropLabelers unregisters the labelers of evicted workspaces after a
-	// demotion.
-	DropLabelers func(wsIDs []string)
+	// Adopted registers serving-layer labelers for freshly adopted
+	// workspaces and loads the dataset's labeling jobs after a promotion.
+	Adopted func(dataset string, wsIDs []string) []string
+	// Evicted unregisters the labelers of evicted workspaces and stops the
+	// dataset's labeling jobs after a demotion.
+	Evicted func(dataset string, wsIDs []string)
 }
 
 // Node is one shard's replication endpoint state: the tap (when primary for
@@ -141,10 +141,10 @@ func (n *Node) SetRole(doc RoleDoc) error {
 		// lives on the promoted primary; a fenced ex-primary must stop
 		// serving it. Idempotent — a shard that was never primary has
 		// nothing to evict.
-		if evicted := n.opts.Manager.EvictDataset(doc.Dataset, "demoted to replication follower"); len(evicted) > 0 {
-			n.opts.Logf("replicate: demoted for %s at epoch %d; evicted %d live workspaces", doc.Dataset, doc.Epoch, len(evicted))
-			if n.opts.DropLabelers != nil {
-				n.opts.DropLabelers(evicted)
+		if ws, jobs := n.opts.Manager.EvictDataset(doc.Dataset, "demoted to replication follower"); len(ws)+len(jobs) > 0 {
+			n.opts.Logf("replicate: demoted for %s at epoch %d; evicted %d live workspaces, %d labeling jobs", doc.Dataset, doc.Epoch, len(ws), len(jobs))
+			if n.opts.Evicted != nil {
+				n.opts.Evicted(doc.Dataset, ws)
 			}
 		}
 	case RoleNone:
@@ -185,24 +185,24 @@ func (n *Node) Promote(req PromoteRequest) (PromoteResponse, error) {
 		return PromoteResponse{}, fmt.Errorf("replicate: fence for promote: %w", err)
 	}
 	resp := PromoteResponse{Dataset: req.Dataset, Epoch: req.Epoch}
-	specs, snaps, upto, cleanup, ok := n.recv.TakeStandby(req.Dataset)
+	specs, snaps, jobs, upto, cleanup, ok := n.recv.TakeStandby(req.Dataset)
 	if !ok {
 		// Nothing replicated here (a cold promote): become primary serving
 		// an empty dataset rather than leaving it down, and say so loudly.
 		n.opts.Logf("replicate: promoting %s at epoch %d WITHOUT a warm standby: prior state is lost", req.Dataset, req.Epoch)
 	} else {
-		adopted, err := n.adoptStandby(req.Dataset, specs, snaps)
+		adopted, err := n.adoptStandby(req.Dataset, specs, snaps, jobs)
 		if err != nil {
 			cleanup(false) // keep the on-disk standby recoverable
 			return PromoteResponse{}, err
 		}
 		cleanup(true)
 		resp.Workspaces = adopted
-		if n.opts.AdoptLabelers != nil {
-			resp.Labelers = n.opts.AdoptLabelers(adopted)
+		if n.opts.Adopted != nil {
+			resp.Labelers = n.opts.Adopted(req.Dataset, adopted)
 		}
-		n.opts.Logf("replicate: promoted %s at epoch %d: %d workspaces adopted (standby upto %d)",
-			req.Dataset, req.Epoch, len(adopted), upto)
+		n.opts.Logf("replicate: promoted %s at epoch %d: %d workspaces, %d labeling jobs adopted (standby upto %d)",
+			req.Dataset, req.Epoch, len(adopted), len(jobs), upto)
 	}
 	n.mu.Lock()
 	n.roles[req.Dataset] = RoleDoc{Dataset: req.Dataset, Epoch: req.Epoch, Role: RolePrimary}
@@ -213,14 +213,15 @@ func (n *Node) Promote(req PromoteRequest) (PromoteResponse, error) {
 
 // adoptStandby moves standby state into the live manager: evict whatever
 // stale live state this shard still holds for the dataset, replay the
-// primary's rule materializations, install every snapshot, and force the
-// live journal to disk before the standby copy may be truncated.
-func (n *Node) adoptStandby(dataset string, specs []string, snaps []*workspace.Snapshot) ([]string, error) {
+// primary's rule materializations, install every snapshot and job record,
+// and force the live journal to disk before the standby copy may be
+// truncated.
+func (n *Node) adoptStandby(dataset string, specs []string, snaps []*workspace.Snapshot, jobs []workspace.Job) ([]string, error) {
 	m := n.opts.Manager
-	if evicted := m.EvictDataset(dataset, "superseded by promoted standby"); len(evicted) > 0 {
-		n.opts.Logf("replicate: promote %s: evicted %d stale live workspaces", dataset, len(evicted))
-		if n.opts.DropLabelers != nil {
-			n.opts.DropLabelers(evicted)
+	if ws, stale := m.EvictDataset(dataset, "superseded by promoted standby"); len(ws)+len(stale) > 0 {
+		n.opts.Logf("replicate: promote %s: evicted %d stale live workspaces, %d labeling jobs", dataset, len(ws), len(stale))
+		if n.opts.Evicted != nil {
+			n.opts.Evicted(dataset, ws)
 		}
 	}
 	if err := m.AdoptMaterialized(dataset, specs); err != nil {
@@ -232,6 +233,13 @@ func (n *Node) adoptStandby(dataset string, specs []string, snaps []*workspace.S
 			return nil, fmt.Errorf("replicate: adopt workspace %s: %w", snap.ID, err)
 		}
 		adopted = append(adopted, snap.ID)
+	}
+	var recs []workspace.JobRecord
+	for _, j := range jobs {
+		recs = append(recs, j.Records...)
+	}
+	if err := m.AppendJob(dataset, recs...); err != nil {
+		return nil, fmt.Errorf("replicate: adopt labeling jobs: %w", err)
 	}
 	if err := m.Sync(); err != nil {
 		return nil, fmt.Errorf("replicate: sync live journal after adoption: %w", err)

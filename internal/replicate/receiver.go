@@ -246,17 +246,18 @@ func (st *standbyState) discard(truncate bool) {
 }
 
 // TakeStandby removes a dataset's standby from the receiver and returns its
-// contents for promotion: the materialized rule specs and a snapshot of
-// every standby workspace, plus a cleanup function the caller must invoke
-// once the state is safely adopted (truncate=true) or the adoption failed
-// (truncate=false, keeping the on-disk standby recoverable).
-func (r *Receiver) TakeStandby(dataset string) (specs []string, snaps []*workspace.Snapshot, upto uint64, cleanup func(truncate bool), ok bool) {
+// contents for promotion: the materialized rule specs, a snapshot of every
+// standby workspace and the retained labeling-job records, plus a cleanup
+// function the caller must invoke once the state is safely adopted
+// (truncate=true) or the adoption failed (truncate=false, keeping the
+// on-disk standby recoverable).
+func (r *Receiver) TakeStandby(dataset string) (specs []string, snaps []*workspace.Snapshot, jobs []workspace.Job, upto uint64, cleanup func(truncate bool), ok bool) {
 	r.mu.Lock()
 	st := r.standby[dataset]
 	delete(r.standby, dataset)
 	r.mu.Unlock()
 	if st == nil {
-		return nil, nil, 0, nil, false
+		return nil, nil, nil, 0, nil, false
 	}
 	st.mu.Lock()
 	specs = st.mgr.MaterializedSpecs(dataset)
@@ -265,10 +266,11 @@ func (r *Receiver) TakeStandby(dataset string) (specs []string, snaps []*workspa
 			snaps = append(snaps, ws.Snapshot())
 		}
 	}
+	jobs = st.mgr.Jobs(dataset)
 	upto = st.upto
 	st.mu.Unlock()
 	replStandbyWS.With(dataset).Set(0)
-	return specs, snaps, upto, st.discard, true
+	return specs, snaps, jobs, upto, st.discard, true
 }
 
 // Drop discards a dataset's standby (and its on-disk journal): the shard is

@@ -153,7 +153,7 @@ func (s *Server) CreateLabelingJob(ctx context.Context, dataset string, spec aut
 		return autolabel.JobStatus{}, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, dataset, s.DatasetNames())
 	}
 	if s.jobs == nil {
-		return autolabel.JobStatus{}, fmt.Errorf("%w: labeling jobs are disabled (start darwind with -jobs-dir)", darwin.ErrUnavailable)
+		return autolabel.JobStatus{}, fmt.Errorf("%w: labeling jobs are disabled (start darwind with -journal and -jobs-dir)", darwin.ErrUnavailable)
 	}
 	spec, err := s.resolveJobSpec(ctx, dataset, spec)
 	if err != nil {
@@ -166,7 +166,7 @@ func (s *Server) CreateLabelingJob(ctx context.Context, dataset string, spec aut
 // LabelingJob implements Backend.
 func (s *Server) LabelingJob(ctx context.Context, dataset, id string) (autolabel.JobStatus, error) {
 	if s.jobs == nil {
-		return autolabel.JobStatus{}, fmt.Errorf("%w: labeling jobs are disabled (start darwind with -jobs-dir)", darwin.ErrUnavailable)
+		return autolabel.JobStatus{}, fmt.Errorf("%w: labeling jobs are disabled (start darwind with -journal and -jobs-dir)", darwin.ErrUnavailable)
 	}
 	st, err := s.jobs.Status(id)
 	if err != nil {
@@ -205,12 +205,4 @@ func (s *Server) SnubaBaseline(ctx context.Context, dataset string, req autolabe
 	}
 	res.Dataset = dataset
 	return res, nil
-}
-
-// LabelingJobs exposes the job manager's full job list (diagnostics, tests).
-func (s *Server) LabelingJobs() []autolabel.JobStatus {
-	if s.jobs == nil {
-		return nil
-	}
-	return s.jobs.Jobs()
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,8 @@ func jobTestSpec() autolabel.Spec {
 // streamed over /v2 must equal a direct in-process autolabel.Run of the same
 // spec.
 func TestLabelingJobE2E(t *testing.T) {
-	srv, _ := newTestServer(t, Config{JobsDir: t.TempDir(), JobWorkers: 1})
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, Config{JournalPath: filepath.Join(dir, "journal.jsonl"), JobsDir: dir, JobWorkers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -122,7 +124,8 @@ func TestLabelingJobE2E(t *testing.T) {
 // and checks the spec is expanded to the labeler's accepted rules (seeds
 // included) before it is journaled.
 func TestLabelingJobLabelerReference(t *testing.T) {
-	srv, _ := newTestServer(t, Config{JobsDir: t.TempDir()})
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, Config{JournalPath: filepath.Join(dir, "journal.jsonl"), JobsDir: dir})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -121,10 +121,13 @@ func (s *Server) labelersFor(wsIDs []string) []string {
 	return out
 }
 
-// adoptLabelers registers one labeler per attachment of freshly adopted
-// workspaces (the promotion analogue of rebuildLabelers) and returns the
-// labeler ids now served here.
-func (s *Server) adoptLabelers(wsIDs []string) []string {
+// adopted registers one labeler per attachment of freshly adopted
+// workspaces (the promotion analogue of rebuildLabelers), returns the
+// labeler ids now served here, and loads the dataset's adopted jobs.
+func (s *Server) adopted(dataset string, wsIDs []string) []string {
+	if s.jobs != nil {
+		s.jobs.Load(dataset)
+	}
 	var out []string
 	for _, wsID := range wsIDs {
 		ws, ok := s.mgr.Peek(wsID)
@@ -148,9 +151,13 @@ func (s *Server) adoptLabelers(wsIDs []string) []string {
 	return out
 }
 
-// dropLabelers removes the registry entries of evicted workspaces (the
-// demotion path: their state now lives on the promoted primary).
-func (s *Server) dropLabelers(wsIDs []string) {
+// evicted removes the registry entries of evicted workspaces and drops the
+// dataset's jobs (the demotion path: their state now lives on the promoted
+// primary).
+func (s *Server) evicted(dataset string, wsIDs []string) {
+	if s.jobs != nil {
+		s.jobs.Drop(dataset)
+	}
 	gone := make(map[string]bool, len(wsIDs))
 	for _, id := range wsIDs {
 		gone[id] = true

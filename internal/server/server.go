@@ -86,10 +86,10 @@ type Config struct {
 	// replicates like a client-issued one.
 	AttachmentTTL time.Duration
 
-	// JobsDir, when non-empty, enables the /v2 labeling-job subsystem: job
-	// records are journaled under it (crash-survivable status) and finished
-	// outputs live there until their TTL. Empty leaves the job endpoints
-	// registered but answering 503.
+	// JobsDir, when non-empty, enables the /v2 labeling-job subsystem:
+	// finished outputs live there until their TTL. Job records are
+	// journaled in the workspace journal, so JobsDir requires JournalPath.
+	// Empty leaves the job endpoints registered but answering 503.
 	JobsDir string
 	// JobWorkers bounds concurrent labeling-job execution (default 2).
 	JobWorkers int
@@ -136,7 +136,7 @@ type Server struct {
 	// replication endpoints then answer 503).
 	repl *replicate.Node
 	// jobs is the labeling-job manager (nil without Config.JobsDir; the job
-	// endpoints then answer 503).
+	// endpoints then answer 503). Its records ride the workspace journal.
 	jobs *autolabel.Manager
 }
 
@@ -146,6 +146,9 @@ type Server struct {
 func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	if len(datasets) == 0 {
 		return nil, errors.New("server: at least one dataset is required")
+	}
+	if cfg.JobsDir != "" && cfg.JournalPath == "" {
+		return nil, errors.New("server: JobsDir requires JournalPath: labeling-job records are journaled in the workspace journal")
 	}
 	if cfg.MaxSeedRules <= 0 {
 		cfg.MaxSeedRules = 16
@@ -194,16 +197,16 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		// this shard a primary, keep warm standbys when it names it a
 		// follower. Recovers on-disk standbys from a previous process.
 		s.repl = replicate.NewNode(replicate.NodeOptions{
-			Manager:       s.mgr,
-			Journal:       jw,
-			Engines:       engines,
-			JournalPath:   cfg.JournalPath,
-			Sync:          cfg.ReplicationSync,
-			SyncTimeout:   cfg.ReplicationSyncTimeout,
-			Logf:          log.Printf,
-			LabelersFor:   s.labelersFor,
-			AdoptLabelers: s.adoptLabelers,
-			DropLabelers:  s.dropLabelers,
+			Manager:     s.mgr,
+			Journal:     jw,
+			Engines:     engines,
+			JournalPath: cfg.JournalPath,
+			Sync:        cfg.ReplicationSync,
+			SyncTimeout: cfg.ReplicationSyncTimeout,
+			Logf:        log.Printf,
+			LabelersFor: s.labelersFor,
+			Adopted:     s.adopted,
+			Evicted:     s.evicted,
 		})
 	}
 	// From here on the journal (and replication standbys) are open: a
@@ -218,10 +221,7 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 			Workers: cfg.JobWorkers,
 			TTL:     cfg.JobTTL,
 			Logf:    log.Printf,
-		}, func(dataset string) (*core.Engine, bool) {
-			eng, ok := engines[dataset]
-			return eng, ok
-		})
+		}, s.mgr)
 		if err != nil {
 			return fail(err)
 		}

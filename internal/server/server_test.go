@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -447,7 +448,8 @@ func TestNewServerValidation(t *testing.T) {
 
 // TestNewClosesWhatItOpenedOnError pins that a New failing after the
 // workspace journal opened closes everything it had opened so far (journal
-// writer, replication node) instead of leaking their descriptors.
+// writer, replication node) instead of leaking their descriptors, and that
+// a jobs dir without a journal is refused before anything is created.
 func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 	if _, err := os.Stat("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd to count open descriptors")
@@ -472,6 +474,9 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 		cfg  Config
 	}{
 		{"jobs dir", Config{JournalPath: filepath.Join(dir, "b.jsonl"), JobsDir: jobsFile}},
+		// Job records ride the workspace journal: a jobs dir alone is
+		// refused before anything opens.
+		{"jobs dir without journal", Config{JobsDir: filepath.Join(dir, "jobs-only")}},
 	}
 	for _, tc := range cases {
 		before := openFDs()
@@ -481,5 +486,8 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 		if leaked := openFDs() - before; leaked != 0 {
 			t.Errorf("%s: failing New left %d descriptors open", tc.name, leaked)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs-only")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused jobs dir was created anyway: %v", err)
 	}
 }

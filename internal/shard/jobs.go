@@ -4,27 +4,17 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/autolabel"
 	"repro/pkg/darwin"
 )
 
-// Labeling-job routing: jobs are dataset-scoped, so the create and the Snuba
-// baseline go to the dataset's current primary (the placement map when
-// failover management is on, else the ring owner) — the same shard fresh
-// labeler creates land on, so a job submitted right after a failover runs on
-// the shard that adopted the dataset. Job ids are namespaced
-// "<shard>~<backend id>" like labeler ids, so status and output route by
-// prefix alone and keep resolving after a restart of the router.
-
-// namespaceJob rewrites a shard-local job status into the router namespace.
-func (sh *shard) namespaceJob(st autolabel.JobStatus) autolabel.JobStatus {
-	if st.ID != "" {
-		st.ID = sh.publicID(st.ID)
-	}
-	return st
-}
+// Labeling-job routing: jobs are dataset-scoped, so every job verb goes to
+// the dataset's current primary (the placement map when failover management
+// is on, else the ring owner) — the same shard fresh labeler creates land
+// on. Job records ride the shard journal and fail over with their dataset,
+// so the primary always holds them; job ids are the shard's own ids, and
+// the dataset in every job URL is all the routing needs.
 
 // resolveJobSpec rewrites a router-namespaced labeler reference in the spec
 // into the backend id, verifying it lives on the shard that will run the
@@ -60,44 +50,20 @@ func (r *Router) CreateLabelingJob(ctx context.Context, dataset string, spec aut
 	}
 	st, err := sh.client.CreateLabelingJob(ctx, dataset, spec)
 	observeOnce(sh, "job_create", err)
-	if err != nil {
-		return autolabel.JobStatus{}, err
-	}
-	return sh.namespaceJob(st), nil
-}
-
-// locateJob resolves a router-namespaced job id, with an error message that
-// names jobs rather than labelers.
-func (r *Router) locateJob(publicID string) (*shard, string, error) {
-	name, backendID, ok := strings.Cut(publicID, Sep)
-	if ok && backendID != "" {
-		if sh := r.byName[name]; sh != nil {
-			if moved := r.rehomed(backendID); moved != nil {
-				return moved, backendID, nil
-			}
-			return sh, backendID, nil
-		}
-	}
-	return nil, "", fmt.Errorf("%w: unknown labeling job %q (router job ids are \"<shard>%s<id>\")", darwin.ErrNotFound, publicID, Sep)
+	return st, err
 }
 
 // LabelingJob implements the server Backend. Status polls are idempotent and
 // retry.
 func (r *Router) LabelingJob(ctx context.Context, dataset, id string) (autolabel.JobStatus, error) {
-	sh, backendID, err := r.locateJob(id)
-	if err != nil {
-		return autolabel.JobStatus{}, err
-	}
+	sh := r.primaryFor(dataset)
 	var st autolabel.JobStatus
-	err = r.retry(ctx, sh, "job_status", func() error {
+	err := r.retry(ctx, sh, "job_status", func() error {
 		var e error
-		st, e = sh.client.LabelingJob(ctx, dataset, backendID)
+		st, e = sh.client.LabelingJob(ctx, dataset, id)
 		return e
 	})
-	if err != nil {
-		return autolabel.JobStatus{}, err
-	}
-	return sh.namespaceJob(st), nil
+	return st, err
 }
 
 // LabelingJobOutput implements the server Backend: the download streams
@@ -105,13 +71,10 @@ func (r *Router) LabelingJob(ctx context.Context, dataset, id string) (autolabel
 // first bytes a retry would corrupt the stream; the client resumes with
 // offset instead).
 func (r *Router) LabelingJobOutput(ctx context.Context, dataset, id string, offset int64, w io.Writer) error {
-	sh, backendID, err := r.locateJob(id)
-	if err != nil {
-		return err
-	}
+	sh := r.primaryFor(dataset)
 	cw := &countingWriter{w: w}
 	return r.retryWhile(ctx, sh, "job_output", func() error {
-		return sh.client.LabelingJobOutput(ctx, dataset, backendID, offset, cw)
+		return sh.client.LabelingJobOutput(ctx, dataset, id, offset, cw)
 	}, func() bool { return cw.n == 0 })
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +32,8 @@ func newJobShardServer(t testing.TB, datasets ...string) *server.Server {
 	for _, name := range datasets {
 		sets = append(sets, &server.Dataset{Name: name, Engine: newTestEngine(t, name)})
 	}
-	srv, err := server.New(server.Config{JobsDir: t.TempDir(), JobWorkers: 1}, sets...)
+	dir := t.TempDir()
+	srv, err := server.New(server.Config{JournalPath: filepath.Join(dir, "journal.jsonl"), JobsDir: dir, JobWorkers: 1}, sets...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestRouterLabelingJobsEndToEnd(t *testing.T) {
 	defer shardA.Close()
 	shardB := httptest.NewServer(newJobShardServer(t, "directions", "musicians"))
 	defer shardB.Close()
-	rt, ts := newRouterServer(t, []shard.Spec{
+	_, ts := newRouterServer(t, []shard.Spec{
 		{Name: "alpha", URL: shardA.URL}, {Name: "beta", URL: shardB.URL},
 	}, shard.Config{})
 	client := darwin.NewClient(ts.URL, "")
@@ -66,9 +68,9 @@ func TestRouterLabelingJobsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPrefix := rt.Place("directions") + shard.Sep
-	if !strings.HasPrefix(st.ID, wantPrefix) {
-		t.Fatalf("job id %q not namespaced to the dataset's primary (want prefix %q)", st.ID, wantPrefix)
+	// Job reads route by dataset, so ids are the shard's own, unprefixed.
+	if strings.Contains(st.ID, shard.Sep) {
+		t.Fatalf("job id %q carries a shard prefix", st.ID)
 	}
 	st, err = client.WaitLabelingJob(ctx, "directions", st.ID, 10*time.Millisecond)
 	if err != nil {
@@ -95,12 +97,12 @@ func TestRouterLabelingJobsEndToEnd(t *testing.T) {
 		t.Error("offset download through the router differs from the output suffix")
 	}
 
-	// Job ids without the namespace (or with an unknown shard) are not found.
-	if _, err := client.LabelingJob(ctx, "directions", "no-separator"); !errors.Is(err, darwin.ErrNotFound) {
-		t.Errorf("un-namespaced job id: %v, want ErrNotFound", err)
+	// Unknown ids, and a known id asked of another dataset, are not found.
+	if _, err := client.LabelingJob(ctx, "directions", "jnosuchjob"); !errors.Is(err, darwin.ErrNotFound) {
+		t.Errorf("unknown job id: %v, want ErrNotFound", err)
 	}
-	if _, err := client.LabelingJob(ctx, "directions", "nosuchshard"+shard.Sep+"j1"); !errors.Is(err, darwin.ErrNotFound) {
-		t.Errorf("unknown shard prefix: %v, want ErrNotFound", err)
+	if _, err := client.LabelingJob(ctx, "musicians", st.ID); !errors.Is(err, darwin.ErrNotFound) {
+		t.Errorf("job id under another dataset: %v, want ErrNotFound", err)
 	}
 }
 

@@ -16,6 +16,7 @@ const (
 	evSnapshot    = "snapshot"
 	evFence       = "fence"
 	evIngest      = "ingest"
+	evJob         = "job"
 )
 
 // createData records a workspace creation with the budget and seed already

@@ -88,6 +88,7 @@ type Manager struct {
 	mu    sync.Mutex //darwin:lockrank manager
 	items map[string]*entry
 	now   func() time.Time
+	jobs  map[string]*Job // retained labeling-job records by id (jobs.go)
 
 	// matMu serializes materialize-hook appends (which run under the
 	// engines' index write locks, outside the gate) with compaction, and
@@ -124,6 +125,7 @@ func NewManager(engines map[string]*core.Engine, jw *journal.Writer, cfg Manager
 		jw:       jw,
 		items:    make(map[string]*entry),
 		now:      time.Now,
+		jobs:     make(map[string]*Job),
 		matSpecs: make(map[string][]string),
 		matSeen:  make(map[string]map[string]bool),
 		fences:   make(map[string]uint64),
@@ -531,10 +533,11 @@ func (m *Manager) Janitor(interval time.Duration, stop <-chan struct{}) {
 }
 
 // Compact rewrites the journal as (materialize events, one snapshot per
-// live workspace), truncating the event history. It excludes every
-// journaling operation via the appender gate, so the snapshots capture all
-// acknowledged events; engine-level materialize appends (which run outside
-// the gate, under index locks) are excluded via matMu.
+// live workspace, the retained job records), truncating the event history.
+// It excludes every journaling operation via the appender gate, so the
+// snapshots capture all acknowledged events; engine-level materialize
+// appends (which run outside the gate, under index locks) are excluded via
+// matMu.
 func (m *Manager) Compact() error {
 	if m.jw == nil {
 		return nil
@@ -625,6 +628,17 @@ func (m *Manager) Compact() error {
 			return fmt.Errorf("workspace: compact snapshot %s: %w", id, err)
 		}
 		events = append(events, journal.Event{Type: evSnapshot, WS: id, Data: data})
+	}
+	// One create plus at most one terminal record per retained job.
+	for _, j := range m.jobsLocked("") {
+		for _, rec := range j.Records {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				m.mu.Unlock()
+				return fmt.Errorf("workspace: compact job %s: %w", rec.ID, err)
+			}
+			events = append(events, journal.Event{Type: evJob, Dataset: j.Dataset, Data: data})
+		}
 	}
 	m.mu.Unlock()
 	return m.jw.Rewrite(events)
@@ -763,23 +777,28 @@ func (m *Manager) IDsByDataset(dataset string) []string {
 	return out
 }
 
-// EvictDataset drops every live workspace on the given dataset (journaling
-// the evictions) and returns the dropped IDs — the demotion path: a fenced
-// ex-primary must stop serving state that now lives on the promoted shard.
-func (m *Manager) EvictDataset(dataset, reason string) []string {
+// EvictDataset drops every live workspace and every labeling job on the
+// given dataset (journaling the evictions and job expiries) and returns the
+// dropped workspace and job IDs — the demotion path: a fenced ex-primary
+// must stop serving state that now lives on the promoted shard.
+func (m *Manager) EvictDataset(dataset, reason string) (wsIDs, jobIDs []string) {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []string
 	for id, en := range m.items {
 		if en.ws.Dataset() == dataset {
 			m.evictLocked(id, reason)
-			out = append(out, id)
+			wsIDs = append(wsIDs, id)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(wsIDs)
+	for _, j := range m.jobsLocked(dataset) {
+		id := j.Records[0].ID
+		m.journalJobLocked(dataset, JobRecord{Kind: JobExpire, ID: id})
+		jobIDs = append(jobIDs, id)
+	}
+	return wsIDs, jobIDs
 }
 
 func errUnknown(id string) error {

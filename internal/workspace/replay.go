@@ -95,6 +95,14 @@ func (r *Replayer) Apply(ev journal.Event) {
 			return
 		}
 		eng.Ingest(d.Sentences)
+	case evJob:
+		var rec JobRecord
+		if _, ok := m.engines[ev.Dataset]; !ok || !decodeEvent(ev.Data, &rec) {
+			return
+		}
+		m.mu.Lock()
+		m.applyJobLocked(ev.Dataset, rec)
+		m.mu.Unlock()
 	case evFence:
 		var d fenceData
 		if decodeEvent(ev.Data, &d) {
